@@ -110,20 +110,3 @@ def ln_frac(value: Fraction, digits: int = DISPLAY_DIGITS) -> Fraction:
     with mpmath.workdps(_MPMATH_DPS):
         x = mpmath.mpf(value.numerator) / value.denominator
         return _mpmath_decimal(mpmath.log(x), digits)
-
-
-def pow_ge(lhs: Fraction, factors: list[tuple[Fraction, Fraction]]) -> bool:
-    """Exact test lhs >= prod base_i^{exp_i} via cross-exponentiation.
-
-    Only usable when the exponents' common denominator is small.
-    """
-    if lhs <= 0:
-        return False
-    d = lcm(*(Fraction(e).denominator for _, e in factors)) if factors else 1
-    if d > _EXACT_ROOT_LIMIT:
-        raise ValueError("exponent denominator too large for exact comparison")
-    left = Fraction(lhs) ** d
-    right = Fraction(1)
-    for b, e in factors:
-        right *= Fraction(b) ** int(Fraction(e) * d)
-    return left >= right

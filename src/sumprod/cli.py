@@ -123,8 +123,11 @@ def _cmd_stats(args) -> int:
 # -- verify ----------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    A = load_set_file(args.input)
     ids = args.ids.split(",") if args.ids else None
+    unknown = [rid for rid in ids or () if rid not in verify_mod.REGISTRY]
+    if unknown:
+        raise _UsageError(f"unknown registry id(s): {', '.join(unknown)}")
+    A = load_set_file(args.input)
     reports = verify_mod.verify_suite(A, ids=ids)
     if args.json:
         print(verify_mod.report_json(reports))

@@ -20,7 +20,6 @@ from .exactset import (
     ResourceError,
     Scalar,
     as_scalar,
-    scaled_integers,
 )
 from .stats import (
     dyadic_slices,
@@ -63,41 +62,21 @@ def sigma_count(a1, A1: FiniteSet, a2, A2: FiniteSet, a3, A3: FiniteSet) -> Sigm
     return SigmaResult(count=count, coefficients=(a1, a2, a3))
 
 
-def _line_of_triple(t1: Fraction, t2: Fraction, t3: Fraction):
-    """Canonical form of {(b, c) : t2*b + t3*c = -t1} in the (a2, a3) plane.
-
-    Returns None for the degenerate all-plane case (t2 = t3 = 0, t1 = 0)
-    and 'empty' when the constraint is unsatisfiable.
-    """
-    if t2 == 0 and t3 == 0:
-        return None if t1 == 0 else "empty"
-    if t2 != 0:
-        return (Fraction(1), t3 / t2, -t1 / t2)
-    return (Fraction(0), Fraction(1), -t1 / t3)
-
-
 def _line_candidates(line) -> list[tuple[Fraction, Fraction]]:
-    """Representative interior points of a line, skipping zero coordinates.
-
-    The symmetric point a2 = a3 comes first so ties resolve the way the
-    one-triple case expects (e.g. (-1/2, -1/2) for x + a2*y + a3*z = 0
-    with x = y = z).
-    """
-    c2, c3, c0 = line
+    """Representative points of the line p*b + q*c = r with b, c != 0."""
+    p, q, r = line
     out = []
-    if c2 + c3 != 0:
-        v = c0 / (c2 + c3)
+    if p + q != 0:
+        v = Fraction(r, p + q)
         if v != 0:
             out.append((v, v))
-    for b in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)):
-        if c3 != 0:
-            c = (c0 - c2 * b) / c3
+    for t in (1, -1, 2, -2):
+        if q != 0:
+            c = Fraction(r - p * t, q)
             if c != 0:
-                out.append((b, c))
-        elif c2 != 0:
-            bb = c0 / c2
-            if bb != 0:
-                out.append((bb, b))
+                out.append((Fraction(t), c))
+        elif r != 0:
+            out.append((Fraction(r, p), Fraction(t)))
     return out
 
 
@@ -105,77 +84,74 @@ def sigma_max(A1: FiniteSet, A2: FiniteSet, A3: FiniteSet,
               pair_budget: int = SIGMA_PAIR_BUDGET) -> SigmaResult:
     """Exact max over nonzero (a2, a3) of sigma_count(1, A1, a2, A2, a3, A3).
 
-    Each solution triple constrains (a2, a3) to a line; a coefficient pair
-    satisfying two or more triples therefore lies on an intersection of two
-    such lines, so enumerating all pairwise intersections (plus one interior
-    representative per line for the single-line maxima) is exhaustive.  The
-    maximum is consequently always attained at a rational point.  Ties are
-    broken by the lexicographically smallest (a2, a3).
+    Over a common denominator the sets become integers, and a triple
+    (x1, x2, x3) with (x2, x3) != (0, 0) holds exactly on the line
+    x2*b + x3*c = -x1 of coefficient pairs (b, c); lines are stored
+    gcd-reduced and weighted by how many triples give them.  The all-zero
+    triple holds everywhere and is counted once, as `base`; a triple with
+    x2 = x3 = 0 != x1 holds nowhere and is dropped.  The count at (b, c)
+    is base plus the weight of the lines through it, so the maximum is
+    found by integer incidence counting: for each line, the weights of the
+    later lines meeting it at a point with b, c != 0 are summed per
+    gcd-reduced homogeneous point, and a point's full weight appears at
+    its first line.  Every line except the axes b = 0 and c = 0 also has
+    points on no other line, which attain its own weight.  Ties go to the
+    lexicographically smallest (a2, a3) among the maximal intersections
+    and the `_line_candidates` points of maximal lines.
     """
     size = len(A1) * len(A2) * len(A3)
     if size > SIGMA_SIZE_LIMIT:
         raise ResourceError(f"sigma_max input too large: {size}")
 
+    m = lcm(*(x.denominator for S in (A1, A2, A3) for x in S))
+    s1, s2, s3 = ([x.numerator * (m // x.denominator) for x in S]
+                  for S in (A1, A2, A3))
     lines: Counter = Counter()
-    base = 0  # triples satisfied by every coefficient choice
-    for x1 in A1:
-        for x2 in A2:
-            for x3 in A3:
-                line = _line_of_triple(x1, x2, x3)
-                if line is None:
-                    base += 1
-                elif line != "empty":
-                    lines[line] += 1
+    base = 0
+    for x1 in s1:
+        for x2 in s2:
+            for x3 in s3:
+                if x2 == 0 and x3 == 0:
+                    base += x1 == 0
+                    continue
+                g = gcd(x1, x2, x3)
+                if x2 < 0 or (x2 == 0 and x3 < 0):
+                    g = -g
+                lines[(x2 // g, x3 // g, -x1 // g)] += 1
 
-    distinct = sorted(lines)
-    if comb(len(distinct), 2) > pair_budget:
+    if comb(len(lines), 2) > pair_budget:
         raise ResourceError(
-            f"sigma_max candidate enumeration too large: {len(distinct)} lines")
+            f"sigma_max candidate enumeration too large: {len(lines)} lines")
 
-    candidates: set[tuple[Fraction, Fraction]] = set()
-    for ln in distinct:
-        candidates.update(_line_candidates(ln))
-    for la, lb in combinations(distinct, 2):
-        # la: b + (la[1]) c = la[2]   (or c = la[2] when la[0] == 0)
-        det = la[0] * lb[1] - lb[0] * la[1]
-        if det == 0:
-            continue
-        c = (la[0] * lb[2] - lb[0] * la[2]) / det
-        b = (la[2] - la[1] * c) / la[0] if la[0] != 0 else (lb[2] - lb[1] * c) / lb[0]
-        if b != 0 and c != 0:
-            candidates.add((b, c))
+    # the axes meet every other line at b = 0 or c = 0, so they drop out
+    free = [(ln, w) for ln, w in lines.items() if ln not in ((1, 0, 0), (0, 1, 0))]
+    best = max((w for _, w in free), default=0)
+    points = []
+    for i, ((p1, q1, r1), w1) in enumerate(free):
+        hits: dict[tuple[int, int, int], int] = {}
+        for (p2, q2, r2), w2 in free[i + 1:]:
+            d = p1 * q2 - p2 * q1
+            b = r1 * q2 - r2 * q1
+            c = p1 * r2 - p2 * r1
+            if d == 0 or b == 0 or c == 0:
+                continue
+            if d < 0:
+                b, c, d = -b, -c, -d
+            g = gcd(b, c, d)
+            key = (b // g, c // g, d // g)
+            hits[key] = hits.get(key, 0) + w2
+        for key, w in hits.items():
+            if w1 + w > best:
+                best, points = w1 + w, [key]
+            elif w1 + w == best:
+                points.append(key)
 
+    candidates = [(Fraction(b, d), Fraction(c, d)) for b, c, d in points]
+    candidates += [pt for ln, w in free if w == best for pt in _line_candidates(ln)]
     if not candidates:
-        # No satisfiable constraint anywhere (e.g. all-positive sets with
-        # positive coefficients still admit negative ones, so this only
-        # happens when no line has a valid interior point).
         return SigmaResult(count=base, coefficients=(Fraction(1), Fraction(1), Fraction(1)))
-
-    # Direct per-candidate evaluation (immune to any line bookkeeping
-    # mistakes), over a common integer scaling so the inner loop is pure
-    # integer arithmetic: x1 + b*x2 + c*x3 = 0 becomes
-    # qb*qc*x1 + pb*qc*x2 + pc*qb*x3 = 0 after clearing denominators.
-    s1, m1 = scaled_integers(A1)
-    s2, m2 = scaled_integers(A2)
-    s3, m3 = scaled_integers(A3)
-    m = lcm(m1, m2, m3)
-    s1 = [x * (m // m1) for x in s1]
-    s2 = [x * (m // m2) for x in s2]
-    targets3 = {x * (m // m3) for x in s3}
-    pairs = [(x1, x2) for x1 in s1 for x2 in s2]
-    best = None
-    for b, c in sorted(candidates):
-        pb, qb = b.numerator, b.denominator
-        pc, qc = c.numerator, c.denominator
-        f1, f2, d = qb * qc, pb * qc, pc * qb
-        count = base
-        for x1, x2 in pairs:
-            v = -(f1 * x1 + f2 * x2)
-            if v % d == 0 and v // d in targets3:
-                count += 1
-        if best is None or count > best.count:
-            best = SigmaResult(count=count, coefficients=(Fraction(1), b, c))
-    return best
+    b, c = min(candidates)
+    return SigmaResult(count=base + best, coefficients=(Fraction(1), b, c))
 
 
 # -- collinear triples -----------------------------------------------------

@@ -212,9 +212,18 @@ def parse_set_text(text: str) -> tuple[FiniteSet, int]:
 
 
 def load_set_file(path) -> FiniteSet:
-    """Load a FiniteSet from a set file, warning about dropped duplicates."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Load a FiniteSet from a set file, warning about dropped duplicates.
+
+    A file that cannot be read or is not UTF-8 text raises ParseError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from exc
     A, dropped = parse_set_text(text)
     if dropped:
         log.warning("%s: dropped %d duplicate value(s)", path, dropped)

@@ -64,6 +64,24 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_input_exit_2(kind, tmp_path, capsys):
+    path = tmp_path
+    if kind == "non-utf8":
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1\n\xe9\n")
+    code, out, err = run(capsys, "stats", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error:") and "Traceback" not in err
+
+
+def test_verify_unknown_id_exit_1(three, capsys):
+    code, out, err = run(capsys, "verify", "--input", three,
+                         "--ids", "SOLY-PROD,NOPE")
+    assert code == 1 and out == ""
+    assert "NOPE" in err
+
+
 def test_usage_error_exit_1(capsys):
     assert run(capsys, "frobnicate")[0] == 1
     assert run(capsys, "verify")[0] == 1  # --input missing
@@ -88,6 +106,15 @@ def test_oracle_sigma(three, capsys):
     assert code == 0
     data = json.loads(out)["sigma_max"]
     assert data["attained"] and data["sample_max"] <= data["enumerated"]
+
+
+def test_oracle_sigma_counts_zero_triple_once(tmp_path, capsys):
+    p = tmp_path / "zero.txt"
+    p.write_text("0\n1\n2\n")
+    code, out, _ = run(capsys, "oracle", "--input", str(p),
+                       "--op", "sigma-max-sample", "--samples", "20")
+    assert code == 0
+    assert json.loads(out)["sigma_max"]["attained"]
 
 
 def test_explore_appends_corpus(three, tmp_path, capsys, monkeypatch):

@@ -1,8 +1,10 @@
 """Solution counts, collinear triples, slope clusters and the energy chain."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from sumprod import (
     DomainError,
     FiniteSet,
+    ResourceError,
+    SigmaResult,
     collinear_triples,
     collinear_triples_brute,
     er_chain,
@@ -17,7 +21,13 @@ from sumprod import (
     sigma_max,
     solymosi_cluster_report,
 )
-from sumprod.counting import cluster_sigma, slice_slopes
+from sumprod import counting
+from sumprod.counting import (
+    SIGMA_PAIR_BUDGET,
+    _line_candidates,
+    cluster_sigma,
+    slice_slopes,
+)
 
 A123 = FiniteSet([1, 2, 3])
 
@@ -83,6 +93,102 @@ def test_sigma_max_singleton():
     assert a1 * 1 + a2 * 1 + a3 * 1 == 0
 
 
+def test_sigma_max_counts_all_zero_triple_once():
+    # (0, 0, 0) holds for every coefficient pair and must be counted once
+    A, Z = FiniteSet([0, 1, 2]), FiniteSet([0])
+    res = sigma_max(A, A, Z)
+    assert res == SigmaResult(count=3, coefficients=(1, -1, -2))
+    assert sigma_count(1, A, -1, A, -2, Z).count == 3
+
+
+def _line_of_triple(t1: Fraction, t2: Fraction, t3: Fraction):
+    """Normalised {(b, c) : t2*b + t3*c = -t1}; None if it is the whole
+    plane, 'empty' if no point satisfies it."""
+    if t2 == 0 and t3 == 0:
+        return None if t1 == 0 else "empty"
+    if t2 != 0:
+        return (Fraction(1), t3 / t2, -t1 / t2)
+    return (Fraction(0), Fraction(1), -t1 / t3)
+
+
+def _sigma_max_direct(A1, A2, A3, pair_budget=SIGMA_PAIR_BUDGET):
+    """Oracle for sigma_max: every pairwise intersection of the triples'
+    lines, and representative points of each line, counted directly."""
+    size = len(A1) * len(A2) * len(A3)
+    if size > counting.SIGMA_SIZE_LIMIT:
+        raise ResourceError(f"sigma_max input too large: {size}")
+    lines = Counter(_line_of_triple(*t) for t in product(A1, A2, A3))
+    base = lines.pop(None, 0)
+    lines.pop("empty", None)
+    distinct = sorted(lines)
+    if comb(len(distinct), 2) > pair_budget:
+        raise ResourceError(
+            f"sigma_max candidate enumeration too large: {len(distinct)} lines")
+    candidates = {pt for ln in distinct for pt in _line_candidates(ln)}
+    for la, lb in combinations(distinct, 2):
+        det = la[0] * lb[1] - lb[0] * la[1]
+        if det == 0:
+            continue
+        c = (la[0] * lb[2] - lb[0] * la[2]) / det
+        b = (la[2] - la[1] * c) / la[0] if la[0] != 0 else (lb[2] - lb[1] * c) / lb[0]
+        if b != 0 and c != 0:
+            candidates.add((b, c))
+    if not candidates:
+        return SigmaResult(count=base, coefficients=(1, 1, 1))
+    # over a common denominator m, x1 + b*x2 + c*x3 = 0 becomes
+    # qb*qc*x1 + pb*qc*x2 + pc*qb*x3 = 0 in integers; the all-zero triple
+    # is counted here, so base is not added again
+    m = lcm(*(x.denominator for S in (A1, A2, A3) for x in S))
+    pairs = [(int(x1 * m), int(x2 * m)) for x1 in A1 for x2 in A2]
+    targets3 = {int(x3 * m) for x3 in A3}
+    best = None
+    for b, c in sorted(candidates):
+        qb, qc = b.denominator, c.denominator
+        f1, f2, d = qb * qc, b.numerator * qc, c.numerator * qb
+        count = 0
+        for x1, x2 in pairs:
+            v = -(f1 * x1 + f2 * x2)
+            if v % d == 0 and v // d in targets3:
+                count += 1
+        if best is None or count > best.count:
+            best = SigmaResult(count=count, coefficients=(1, b, c))
+    return best
+
+
+SMALL_SIGNED = sorted({Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3)},
+                      key=lambda x: (x != 0, abs(x), x))
+small_sets = st.sets(st.sampled_from(SMALL_SIGNED), min_size=1, max_size=5).map(FiniteSet)
+
+
+@given(small_sets, small_sets, small_sets)
+@settings(max_examples=100, deadline=None)
+def test_sigma_max_matches_direct_evaluation(A1, A2, A3):
+    assert sigma_max(A1, A2, A3) == _sigma_max_direct(A1, A2, A3)
+    # both refuse with the same line count, hence at the same pair budget
+    with pytest.raises(ResourceError) as fast:
+        sigma_max(A1, A2, A3, pair_budget=-1)
+    with pytest.raises(ResourceError) as direct:
+        _sigma_max_direct(A1, A2, A3, pair_budget=-1)
+    assert str(fast.value) == str(direct.value)
+
+
+def test_sigma_max_refusal_thresholds(monkeypatch):
+    one, three = FiniteSet([1]), FiniteSet([1, 2, 3])  # 9 lines x2*b + x3*c = -1
+    for fn in (sigma_max, _sigma_max_direct):
+        assert fn(one, three, three, pair_budget=comb(9, 2)).count >= 1
+        with pytest.raises(ResourceError, match="too large: 9 lines"):
+            fn(one, three, three, pair_budget=comb(9, 2) - 1)
+    # 101 * 9901 = 1_000_001, one triple over the limit
+    with pytest.raises(ResourceError, match="input too large: 1000001"):
+        sigma_max(FiniteSet(range(101)), FiniteSet(range(9901)), one)
+    monkeypatch.setattr(counting, "SIGMA_SIZE_LIMIT", 8)
+    two = FiniteSet([1, 2])
+    for fn in (sigma_max, _sigma_max_direct):
+        assert fn(two, two, two).count == 2
+        with pytest.raises(ResourceError, match="input too large: 9"):
+            fn(three, three, one)
+
+
 def test_sigma_max_dominates_fixed_coefficients():
     rng = random.Random(9)
     for _ in range(5):
@@ -141,7 +247,7 @@ def test_cluster_report_divisor_rich():
 def test_cluster_window_bound():
     rep = solymosi_cluster_report(DIVISOR_RICH, 2, 2)
     # each pair of fibers contributes at most |A_a||A_b| <= 4 tau^2 points
-    from math import comb
+    from math import comb, lcm
     for distinct, _ in rep.per_group:
         assert distinct <= 4 * 4 * comb(rep.M, 2)
 
