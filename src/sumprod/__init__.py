@@ -54,6 +54,7 @@ from .stats import (
     energy,
     energy_by_quadruples,
     lambda_set,
+    pair_counts,
     productset,
     quotientset,
     rep_counts,

@@ -36,10 +36,8 @@ from .stats import (
     dyadic_slices,
     energy,
     energy_by_quadruples,
-    productset,
-    quotientset,
+    pair_counts,
     spectrum,
-    sumset,
 )
 
 EXIT_OK = 0
@@ -77,9 +75,9 @@ def _cmd_stats(args) -> int:
     zero = A.has_zero()
     out = {
         "n": len(A),
-        "sumset": len(sumset(A, A)),
-        "productset": len(productset(A, A)),
-        "quotientset": len(quotientset(A, A)) if len(A) > 1 or not zero else None,
+        "sumset": len(pair_counts(A, A, "add")[0]),
+        "productset": len(pair_counts(A, A, "mul")[0]),
+        "quotientset": len(pair_counts(A, A, "div")[0]) if len(A) > 1 or not zero else None,
         "energy_add": energy(A, mode="add"),
         "energy_mul": None if zero else energy(A, mode="mul"),
     }
@@ -158,8 +156,15 @@ def _cmd_explore(args) -> int:
             raise _UsageError("--seed is required for hillclimb mode")
         config["seed"] = args.seed
         config["restarts"] = args.restarts
-    record = explore_mod.search_extremal(args.ineq, args.n, args.mode, config)
     corpus = args.corpus or os.environ.get("SUMPROD_CORPUS")
+    if corpus:
+        # fail before the search, not after it
+        try:
+            with open(corpus, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            raise _UsageError(f"cannot append to corpus {corpus}: {exc.strerror}") from exc
+    record = explore_mod.search_extremal(args.ineq, args.n, args.mode, config)
     if corpus:
         explore_mod.corpus_store(record, corpus)
         print(f"stored record in {corpus}", file=sys.stderr)
@@ -264,7 +269,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, FileNotFoundError) as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DomainError as exc:

@@ -21,16 +21,7 @@ from .exactset import (
     Scalar,
     as_scalar,
 )
-from .stats import (
-    dyadic_slices,
-    energy,
-    lambda_set,
-    productset,
-    quotientset,
-    rep_counts,
-    spectrum,
-    sumset,
-)
+from .stats import lambda_set, pair_counts, rep_counts, spectrum, sumset
 
 SIGMA_SIZE_LIMIT = 1_000_000
 SIGMA_PAIR_BUDGET = 5_000_000
@@ -427,9 +418,7 @@ def er_chain(A: FiniteSet, triples_limit: int = TRIPLES_POINT_LIMIT) -> ErChain:
     U = sum(N[x] for x in F)
     sumsq_F = sum(N[x] ** 2 for x in F)
 
-    AA = productset(A, A)
-    AdivA = quotientset(A, A)
-    m = min(len(AA), len(AdivA))
+    m = min(len(pair_counts(A, A, "mul")[0]), len(pair_counts(A, A, "div")[0]))
 
     X = A.union(F)
     T = None

@@ -86,6 +86,20 @@ class FiniteSet:
         self._elems: tuple[Fraction, ...] = tuple(elems)
         self._members = frozenset(self._elems)
 
+    @classmethod
+    def from_sorted(cls, elems: Sequence[Fraction]) -> "FiniteSet":
+        """Wrap Fractions that are already strictly increasing (not checked).
+
+        Skips the sort of the constructor, for callers that produce their
+        values in order from integer keys.
+        """
+        if not elems:
+            raise DomainError("empty set")
+        self = object.__new__(cls)
+        self._elems = tuple(elems)
+        self._members = frozenset(self._elems)
+        return self
+
     @property
     def elements(self) -> tuple[Fraction, ...]:
         return self._elems
@@ -184,10 +198,15 @@ def translate(A: FiniteSet, beta) -> FiniteSet:
 
 # -- integer scaling ------------------------------------------------------
 
-def scaled_integers(A: FiniteSet) -> tuple[list[int], int]:
-    """Return (m*A as ints, m) with m the lcm of all denominators."""
-    m = lcm(*(a.denominator for a in A)) if len(A) else 1
-    return [int(a * m) for a in A], m
+def scaled_integers(A: Iterable[Fraction], m: int | None = None) -> tuple[list[int], int]:
+    """Return (m*A as ints, m).
+
+    m defaults to the lcm of the denominators; a given m must be a common
+    multiple of them.
+    """
+    if m is None:
+        m = lcm(*(a.denominator for a in A))
+    return [a.numerator * (m // a.denominator) for a in A], m
 
 
 def parse_set_text(text: str) -> tuple[FiniteSet, int]:

@@ -21,12 +21,13 @@ from math import comb
 from .exactset import (
     DomainError,
     FiniteSet,
+    ParseError,
     ResourceError,
     format_scalar,
     load_set_file,
     parse_scalar,
 )
-from .stats import productset, quotientset
+from .stats import pair_counts, productset
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -267,7 +268,7 @@ def bsg_subset_oracle(S: FiniteSet, max_size: int = 14) -> tuple[FiniteSet, Frac
     for k in range(len(S), 0, -1):
         for combo in combinations(S.elements, k):
             sub = FiniteSet(combo)
-            obj = len(quotientset(sub, sub)) * n2 / Fraction(k) ** 3
+            obj = len(pair_counts(sub, sub, "div")[0]) * n2 / Fraction(k) ** 3
             if best is None or obj < best[0] or (
                     obj == best[0] and (k > len(best[1]) or
                                         (k == len(best[1]) and sub < best[1]))):
@@ -288,20 +289,26 @@ def corpus_load(path, params_map: dict | None = None) -> list[ExtremalRecord]:
     """Load the corpus, re-verifying every stored ratio.
 
     A record whose stored ratio no longer matches recomputation is kept
-    but flagged with drift=True.
+    but flagged with drift=True.  A line that is not a record raises
+    ParseError naming the path and the line number.
     """
     params_map = params_map or {}
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            A = FiniteSet(parse_scalar(s) for s in obj["set"])
-            stored = parse_scalar(obj["ratio"])
+            try:
+                obj = json.loads(line)
+                A = FiniteSet(parse_scalar(s) for s in obj["set"])
+                stored = parse_scalar(obj["ratio"])
+                inequality_id = obj["inequality_id"]
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ParseError(f"{path}, line {lineno}: not a corpus record "
+                                 f"({type(exc).__name__}: {exc})") from exc
             rec = ExtremalRecord(
-                set=A, inequality_id=obj["inequality_id"], ratio=stored,
+                set=A, inequality_id=inequality_id, ratio=stored,
                 generator=obj.get("generator", {}),
                 timestamp=obj.get("timestamp", ""),
                 artifact_version=obj.get("artifact_version", ARTIFACT_VERSION),

@@ -5,90 +5,140 @@ multiplicative energies, the fiber decomposition A_lambda = A ∩ lambda*A
 with its dyadic spectrum, and certified upper bounds for the doubling
 functional min_C |AC|^2/(|A||C|).
 
-All counting is exact.  For integer-scalable inputs the hot paths
-(pairwise sums/products of large sets) go through numpy int64 kernels;
-the generic path uses hashed Fraction enumeration.
+All counting is exact and goes through one kernel, `pair_counts`, which
+keys each pair a∘b by an integer (scaled sums, differences and products,
+or a reduced quotient packed into one integer) and counts the keys with
+numpy int64 when that is safe, with a Python-int Counter otherwise.
+Fractions are built only for the distinct values a caller gets back.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, lcm, log2
+from math import ceil, gcd, lcm, log2
 
 import numpy as np
 
-from .exactset import (
-    DomainError,
-    FiniteSet,
-    ResourceError,
-    Scalar,
-    as_scalar,
-    dilate,
-    scaled_integers,
-)
+from .exactset import (DomainError, FiniteSet, ResourceError, Scalar, as_scalar, dilate,
+                       scaled_integers)
 
-# int64 results must stay below 2^62; inputs are pre-checked against this.
+# numpy runs when every integer entering a key, and the number of pairs,
+# is below this: sums and products of two stay below 2^62, a packed
+# quotient below 2^63, and the sum of squared counts below 2^62.
 _INT64_SAFE = 1 << 31
+_OUTER = {"add": np.add.outer, "sub": np.subtract.outer, "mul": np.multiply.outer}
 
 
-def _joint_scaled(A: FiniteSet, B: FiniteSet) -> tuple[list[int], list[int], int]:
-    sa, ma = scaled_integers(A)
-    sb, mb = scaled_integers(B)
-    m = lcm(ma, mb)
-    fa, fb = m // ma, m // mb
-    return [x * fa for x in sa], [x * fb for x in sb], m
+def _counted(keys) -> tuple[np.ndarray, np.ndarray]:
+    """The Python-int path: the distinct keys and their counts."""
+    counts = Counter(keys)
+    return np.array(list(counts), dtype=object), np.array(list(counts.values()), dtype=object)
 
 
-def _int64_ok(*int_lists) -> bool:
-    return all(abs(x) < _INT64_SAFE for xs in int_lists for x in xs)
+def _quotient_key(p: int, q: int, shift: int) -> int:
+    g = gcd(p, q) if q > 0 else -gcd(p, q)
+    return ((p // g) << shift) + q // g
+
+
+def _quotient_keys(left, right):
+    """Keys of the quotients (u·v)/(w·z) over (u, w) in left, (v, z) in right."""
+    (u, w), (v, z) = left, right
+    p_max = max(map(abs, u)) * max(map(abs, v))
+    q_max = max(map(abs, w)) * max(map(abs, z))
+    if max(p_max, q_max, len(u) * len(v)) < _INT64_SAFE:
+        p = np.multiply.outer(np.array(u, np.int64), np.array(v, np.int64))
+        q = np.multiply.outer(np.array(w, np.int64), np.array(z, np.int64))
+        g = np.gcd(p, q) * np.sign(q)
+        return (*np.unique(((p // g) << 32) + q // g, return_counts=True), None, 32)
+    shift = q_max.bit_length()
+    return (*_counted(_quotient_key(a * c, b * d, shift)
+                      for a, b in zip(u, w) for c, d in zip(v, z)), None, shift)
+
+
+def _pair_keys(A, B, op: str):
+    """(keys, counts, den, shift) of a∘b over A×B.
+
+    With shift None the key k stands for k/den, so key order is value
+    order; otherwise k packs the reduced quotient p/q, q > 0, as
+    p·2^shift + q.  The numpy path returns the keys sorted.
+    """
+    if op not in ("add", "sub", "mul", "div"):
+        raise DomainError(f"unknown mode {op!r}")
+    if op == "div":
+        B = [b for b in B if b != 0]
+        if not B:
+            raise DomainError("no nonzero divisors")
+    if op == "mul":
+        (x, ma), (y, mb) = scaled_integers(A), scaled_integers(B)
+        den = ma * mb
+    else:
+        den = lcm(*(c.denominator for S in (A, B) for c in S))
+        (x, _), (y, _) = scaled_integers(A, den), scaled_integers(B, den)
+        if op == "div":
+            # a quotient does not change when both sides are scaled alike
+            return _quotient_keys((x, [1] * len(x)), ([1] * len(y), y))
+    if max(*map(abs, x), *map(abs, y), len(x) * len(y)) < _INT64_SAFE:
+        keys = _OUTER[op](np.array(x, np.int64), np.array(y, np.int64))
+        return (*np.unique(keys, return_counts=True), den, None)
+    if op == "mul" and den > 1:
+        # A large common denominator (that of A/A, say) blows the scaled
+        # integers up; key on the reduced products of the element pairs.
+        return _quotient_keys(([a.numerator for a in A], [a.denominator for a in A]),
+                              ([b.numerator for b in B], [b.denominator for b in B]))
+    combine = getattr(operator, op)
+    return (*_counted(combine(a, b) for a in x for b in y), den, None)
+
+
+def pair_counts(A: FiniteSet, B: FiniteSet, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """Integer keys of the values a∘b over A×B, and how many pairs give each.
+
+    op is 'add', 'sub', 'mul' or 'div' ('div' skips b = 0).  The keys are
+    distinct and equal exactly when the values are, so |A∘B| = len(keys)
+    and the energy is sum(counts²).  Both arrays are int64 on the numpy path
+    and of Python ints otherwise.
+    """
+    keys, counts, _, _ = _pair_keys(A, B, op)
+    return keys, counts
+
+
+def _pair_values(A, B, op: str) -> tuple[list[Fraction], list[int]]:
+    """The distinct values of a∘b in increasing order, with their counts."""
+    keys, counts, den, shift = _pair_keys(A, B, op)
+    pairs = zip(keys.tolist(), counts.tolist())
+    if shift is None:
+        pairs = sorted(pairs)
+        return [Fraction(k, den) for k, _ in pairs], [c for _, c in pairs]
+    mask = (1 << shift) - 1
+    # distinct p/q with q < 2^shift differ by more than 2^(-2 shift), so
+    # floor(p 2^(2 shift) / q) orders them
+    pairs = sorted(pairs, key=lambda kc: ((kc[0] >> shift) << 2 * shift) // (kc[0] & mask))
+    return [Fraction(k >> shift, k & mask) for k, _ in pairs], [c for _, c in pairs]
 
 
 # -- pairwise operation sets ----------------------------------------------
 
 def sumset(A: FiniteSet, B: FiniteSet) -> FiniteSet:
     """{a+b : a in A, b in B}."""
-    sa, sb, m = _joint_scaled(A, B)
-    if _int64_ok(sa, sb):
-        vals = np.unique(np.add.outer(np.array(sa, dtype=np.int64),
-                                      np.array(sb, dtype=np.int64)))
-        return FiniteSet(Fraction(int(v), m) for v in vals)
-    return FiniteSet({a + b for a in A for b in B})
+    return FiniteSet.from_sorted(_pair_values(A, B, "add")[0])
 
 
 def differenceset(A: FiniteSet, B: FiniteSet) -> FiniteSet:
     """{a-b : a in A, b in B}."""
-    sa, sb, m = _joint_scaled(A, B)
-    if _int64_ok(sa, sb):
-        vals = np.unique(np.subtract.outer(np.array(sa, dtype=np.int64),
-                                           np.array(sb, dtype=np.int64)))
-        return FiniteSet(Fraction(int(v), m) for v in vals)
-    return FiniteSet({a - b for a in A for b in B})
+    return FiniteSet.from_sorted(_pair_values(A, B, "sub")[0])
 
 
 def productset(A: FiniteSet, B: FiniteSet) -> FiniteSet:
     """{ab : a in A, b in B}."""
-    sa, ma = scaled_integers(A)
-    sb, mb = scaled_integers(B)
-    if _int64_ok(sa, sb):
-        vals = np.unique(np.multiply.outer(np.array(sa, dtype=np.int64),
-                                           np.array(sb, dtype=np.int64)))
-        m = ma * mb
-        return FiniteSet(Fraction(int(v), m) for v in vals)
-    return FiniteSet({a * b for a in A for b in B})
+    return FiniteSet.from_sorted(_pair_values(A, B, "mul")[0])
 
 
 def quotientset(A: FiniteSet, B: FiniteSet) -> FiniteSet:
     """{a/b : a in A, b in B, b != 0}."""
-    divisors = [b for b in B if b != 0]
-    if not divisors:
-        raise DomainError("no nonzero divisors")
-    return FiniteSet({a / b for a in A for b in divisors})
-
-
-_MODES = ("add", "sub", "mul", "div")
+    return FiniteSet.from_sorted(_pair_values(A, B, "div")[0])
 
 
 def rep_counts(A: FiniteSet, B: FiniteSet, mode: str) -> Counter:
@@ -96,29 +146,7 @@ def rep_counts(A: FiniteSet, B: FiniteSet, mode: str) -> Counter:
 
     mode 'div' skips pairs with b = 0 (mirrors the b != 0 in A/B).
     """
-    if mode not in _MODES:
-        raise DomainError(f"unknown mode {mode!r}")
-    counts: Counter = Counter()
-    if mode == "add":
-        for a in A:
-            for b in B:
-                counts[a + b] += 1
-    elif mode == "sub":
-        for a in A:
-            for b in B:
-                counts[a - b] += 1
-    elif mode == "mul":
-        for a in A:
-            for b in B:
-                counts[a * b] += 1
-    else:
-        divisors = [b for b in B if b != 0]
-        if not divisors:
-            raise DomainError("no nonzero divisors")
-        for a in A:
-            for b in divisors:
-                counts[a / b] += 1
-    return counts
+    return Counter(dict(zip(*_pair_values(A, B, mode))))
 
 
 def energy(A: FiniteSet, B: FiniteSet | None = None, mode: str = "add") -> int:
@@ -133,24 +161,8 @@ def energy(A: FiniteSet, B: FiniteSet | None = None, mode: str = "add") -> int:
         raise DomainError(f"energy mode must be add or mul, got {mode!r}")
     if mode == "mul" and (A.has_zero() or B.has_zero()):
         raise DomainError("zero element in multiplicative energy")
-
-    if mode == "add":
-        sa, sb, _ = _joint_scaled(A, B)
-        if _int64_ok(sa, sb):
-            grid = np.add.outer(np.array(sa, dtype=np.int64),
-                                np.array(sb, dtype=np.int64))
-            _, c = np.unique(grid.ravel(), return_counts=True)
-            return int(np.sum(c.astype(object) ** 2))
-    else:
-        sa, _ = scaled_integers(A)
-        sb, _ = scaled_integers(B)
-        if _int64_ok(sa, sb):
-            grid = np.multiply.outer(np.array(sa, dtype=np.int64),
-                                     np.array(sb, dtype=np.int64))
-            _, c = np.unique(grid.ravel(), return_counts=True)
-            return int(np.sum(c.astype(object) ** 2))
-    counts = rep_counts(A, B, mode)
-    return sum(c * c for c in counts.values())
+    _, counts = pair_counts(A, B, mode)
+    return int(counts @ counts)
 
 
 def energy_by_quadruples(A: FiniteSet, B: FiniteSet | None = None,
@@ -197,8 +209,7 @@ def spectrum(A: FiniteSet) -> list[tuple[Scalar, int]]:
     """
     if A.has_zero():
         raise DomainError("spectrum requires 0 not in A")
-    counts = rep_counts(A, A, "div")
-    return sorted(counts.items())
+    return list(zip(*_pair_values(A, A, "div")))
 
 
 @dataclass(frozen=True)
@@ -226,10 +237,8 @@ def dyadic_slices(A: FiniteSet) -> list[SpectrumSlice]:
     out = []
     for j, sizes in enumerate(buckets):
         tau = Fraction(1, 2) * 2**j
-        if sizes:
-            out.append(SpectrumSlice(tau=tau, lambdas=FiniteSet(sizes), sizes=sizes))
-        else:
-            out.append(SpectrumSlice(tau=tau, lambdas=None, sizes={}))
+        lambdas = FiniteSet.from_sorted(list(sizes)) if sizes else None
+        out.append(SpectrumSlice(tau=tau, lambdas=lambdas, sizes=sizes))
     return out
 
 
@@ -245,7 +254,7 @@ class DoublingProfile:
 
 
 def _ratio_for(A: FiniteSet, C: FiniteSet) -> Fraction:
-    return Fraction(len(productset(A, C)) ** 2, len(A) * len(C))
+    return Fraction(len(pair_counts(A, C, "mul")[0]) ** 2, len(A) * len(C))
 
 
 def d_upper(A: FiniteSet, candidates: list[FiniteSet] = (),
@@ -259,23 +268,19 @@ def d_upper(A: FiniteSet, candidates: list[FiniteSet] = (),
     """
     if A.has_zero():
         raise DomainError("doubling profile requires 0 not in A")
-    AA = productset(A, A)
-    AdivA = quotientset(A, A)
-    K_mul = Fraction(min(len(AA), len(AdivA)), len(A))
+    nquot = len(pair_counts(A, A, "div")[0])
+    K_mul = Fraction(min(len(pair_counts(A, A, "mul")[0]), nquot), len(A))
 
     defaults = [FiniteSet([1]), A, A.inverse()]
-    if len(A) * len(AdivA) <= pair_budget:
-        defaults.append(AdivA)
-    best = None
-    witness = None
-    for C in list(defaults) + [c for c in candidates]:
+    if len(A) * nquot <= pair_budget:
+        defaults.append(quotientset(A, A))
+    scored = []
+    for C in defaults + list(candidates):
         if C.has_zero():
             raise DomainError("candidate contains zero")
-        if len(A) * len(C) > pair_budget:
-            continue
-        r = _ratio_for(A, C)
-        if best is None or r < best:
-            best, witness = r, C
+        if len(A) * len(C) <= pair_budget:
+            scored.append((_ratio_for(A, C), C))
+    best, witness = min(scored, key=lambda rc: rc[0], default=(None, None))
     return DoublingProfile(K_mul=K_mul, d_upper=best, witness_C=witness)
 
 
@@ -291,16 +296,9 @@ def d_exhaustive(A: FiniteSet, ground: FiniteSet, max_size: int) -> DoublingProf
     max_size = min(max_size, len(ground))
     if max_size < 1:
         raise DomainError("max_size must be positive")
-    AA = productset(A, A)
-    AdivA = quotientset(A, A)
-    K_mul = Fraction(min(len(AA), len(AdivA)), len(A))
-
-    best = None
-    witness = None
-    for k in range(1, max_size + 1):
-        for combo in combinations(ground.elements, k):
-            C = FiniteSet(combo)
-            r = _ratio_for(A, C)
-            if best is None or r < best or (r == best and C < witness):
-                best, witness = r, C
+    K_mul = Fraction(min(len(pair_counts(A, A, "mul")[0]),
+                         len(pair_counts(A, A, "div")[0])), len(A))
+    # ties go to the lexicographically smallest C
+    best, witness = min((_ratio_for(A, C), C) for k in range(1, max_size + 1)
+                        for C in map(FiniteSet, combinations(ground.elements, k)))
     return DoublingProfile(K_mul=K_mul, d_upper=best, witness_C=witness)

@@ -30,10 +30,9 @@ from .stats import (
     dyadic_slices,
     energy,
     lambda_set,
+    pair_counts,
     productset,
     quotientset,
-    rep_counts,
-    sumset,
 )
 
 #: exponent bump of the max{|A+A|,|AA|} >= |A|^{4/3+c} bound, just under
@@ -94,15 +93,15 @@ class SetContext:
 
     @cached_property
     def nsum(self) -> int:
-        return len(sumset(self.A, self.A))
+        return len(pair_counts(self.A, self.A, "add")[0])
 
     @cached_property
     def nprod(self) -> int:
-        return len(productset(self.A, self.A))
+        return len(pair_counts(self.A, self.A, "mul")[0])
 
     @cached_property
     def nquot(self) -> int:
-        return len(quotientset(self.A, self.A))
+        return len(pair_counts(self.A, self.A, "div")[0])
 
     @cached_property
     def K(self) -> Fraction:
@@ -238,9 +237,9 @@ def _levelset(ctx, params):
         raise DomainError("LEVELSET requires min size 2")
     if tau < 1:
         raise DomainError("LEVELSET requires tau >= 1")
-    counts = rep_counts(ctx.A, B, "div")
-    lhs = Fraction(sum(1 for c in counts.values() if c >= tau))
-    nsumB = len(sumset(B, B))
+    _, counts = pair_counts(ctx.A, B, "div")
+    lhs = Fraction(sum(1 for c in counts.tolist() if c >= tau))
+    nsumB = len(pair_counts(B, B, "add")[0])
     rhs = Fraction(ctx.nsum * nsumB) / tau**2
     return InequalityReport(id="LEVELSET", lhs=lhs, rhs=rhs,
                             ratio=lhs / rhs, explicit=False, passed=None,
@@ -253,7 +252,7 @@ def _energy_sumset(ctx, params):
     if B.has_zero():
         raise DomainError("entry requires 0 not in B")
     lhs = Fraction(energy(ctx.A, B, "mul"))
-    nsumB = len(sumset(B, B))
+    nsumB = len(pair_counts(B, B, "add")[0])
     logm = log2_frac(Fraction(min(len(ctx.A), len(B))))
     if logm == 0:
         raise DomainError("ENERGY-SUMSET requires min size 2")
@@ -267,8 +266,8 @@ def _da_level(ctx, params):
     tau = Fraction(params.get("tau", 2))
     if tau < 1:
         raise DomainError("DA-LEVEL requires tau >= 1")
-    counts = rep_counts(ctx.A, B, "add")
-    lhs = Fraction(sum(1 for c in counts.values() if c >= tau))
+    _, counts = pair_counts(ctx.A, B, "add")
+    lhs = Fraction(sum(1 for c in counts.tolist() if c >= tau))
     rhs = ctx.dhat.d_upper * ctx.n * Fraction(len(B)) ** 2 / tau**3
     return InequalityReport(id="DA-LEVEL", lhs=lhs, rhs=rhs, ratio=lhs / rhs,
                             explicit=False, passed=None, inputs=_digest(ctx.A))
@@ -281,7 +280,7 @@ def _gen_sigma(ctx, params):
     A3 = params.get("A3", ctx.A)
     coeffs = params.get("coeffs", (1, 1, -1))
     sig = sigma_count(coeffs[0], A1, coeffs[1], A2, coeffs[2], A3)
-    d1 = d_upper(A1).d_upper
+    d1 = (ctx.dhat if A1 is ctx.A else d_upper(A1)).d_upper
     lhs = Fraction(sig.count)
     rep = _ratio("GEN-SIGMA", ctx, max(lhs, Fraction(1)),
                  [(d1, Fraction(1, 3)),
@@ -331,9 +330,10 @@ def _prop_crit(ctx, params, product_variant: bool):
     _need(ctx, nonzero=True)
     rid = "PROP-CRIT-P" if product_variant else "PROP-CRIT-Q"
     cap = params.get("cap", QUOTIENT_ENERGY_CAP)
+    size = ctx.nprod if product_variant else ctx.nquot
+    if size > cap:
+        raise ResourceError(f"{rid}: |derived set| = {size} exceeds cap {cap}")
     big = productset(ctx.A, ctx.A) if product_variant else quotientset(ctx.A, ctx.A)
-    if len(big) > cap:
-        raise ResourceError(f"{rid}: |derived set| = {len(big)} exceeds cap {cap}")
     L = ctx.L_prod if product_variant else ctx.L_quot
     lhs = Fraction(energy(big, mode="mul"))
     rhs = Fraction(ctx.Ex) ** 3 / (L**32 * Fraction(ctx.n) ** 4)
@@ -494,10 +494,10 @@ def smallL_construction(A: FiniteSet) -> SmallLReport:
         S_prime = FiniteSet(by_energy[half:])
 
     add_ratio = min(Fraction(fiber_energy[lam]) / tau**3 for lam in S_prime)
-    quot_ratio = min(Fraction(len(quotientset(fibers[lam], fibers[lam]))) / tau**2
-                     for lam in S_prime)
-    prod_ratio = min(Fraction(len(productset(fibers[lam], fibers[lam]))) / tau**2
-                     for lam in S_prime)
+    quot_ratio = min(Fraction(len(pair_counts(fibers[lam], fibers[lam], "div")[0]))
+                     / tau**2 for lam in S_prime)
+    prod_ratio = min(Fraction(len(pair_counts(fibers[lam], fibers[lam], "mul")[0]))
+                     / tau**2 for lam in S_prime)
     return SmallLReport(L=ctx.L_quot, L_prod=ctx.L_prod, tau=tau, S_tau=S_tau,
                         S_prime=S_prime, S_doubleprime=S_dprime,
                         min_additive_energy_ratio=add_ratio,

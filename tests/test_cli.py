@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sumprod import explore
 from sumprod.cli import main
 
 
@@ -132,3 +133,16 @@ def test_explore_hillclimb_requires_seed(capsys):
     code, _, err = run(capsys, "explore", "--ineq", "SOLY-PROD", "--n", "3",
                        "--mode", "hillclimb")
     assert code == 1 and "seed" in err
+
+
+def test_explore_unwritable_corpus_exit_1(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "no" / "such" / "dir" / "x.jsonl"
+
+    def search_extremal(*args, **kwargs):
+        raise AssertionError("the search ran before the corpus was opened")
+
+    monkeypatch.setattr(explore, "search_extremal", search_extremal)
+    code, out, err = run(capsys, "explore", "--ineq", "COR-SOL", "--n", "3",
+                         "--corpus", str(corpus))
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and str(corpus) in err

@@ -228,6 +228,25 @@ def test_collinear_python_fallback_agrees():
     assert collinear_triples(pts) == collinear_triples_brute(pts)
 
 
+@pytest.mark.parametrize("span, path", [
+    (2**30 - 1, "_distinct_collinear_numpy"),
+    (2**30, "_distinct_collinear_python"),
+])
+def test_collinear_direction_keys_at_the_int64_boundary(span, path, monkeypatch):
+    # The numpy path keys a reduced direction (dx, dy) as dx*(4*span+3) + dy.
+    # From (s, s-1) to (-s, -s) the direction is (2s, 2s-1), already reduced,
+    # so at s = 2^30 - 1 the key is 8s^2 + 8s - 1 = 2^63 - 2^33 - 1.
+    s = span
+    pts = [(-s, -s), (s, s - 1), (0, 0), (s, s), (s, -s), (-s, s), (1, s), (0, -s)]
+    other = ({"_distinct_collinear_numpy", "_distinct_collinear_python"} - {path}).pop()
+
+    def wrong_path(xs, ys):
+        raise AssertionError(f"span {span} routed to {other}")
+
+    monkeypatch.setattr(counting, other, wrong_path)
+    assert collinear_triples(pts) == collinear_triples_brute(pts)
+
+
 # -- cluster construction --------------------------------------------------
 
 DIVISOR_RICH = FiniteSet([1, 2, 3, 4, 6, 9, 12, 18, 36])

@@ -1,6 +1,7 @@
 """Generators, mutation, extremal search, the subset oracle and the corpus."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from sumprod import (
     DomainError,
     FiniteSet,
     GeneratorSpec,
+    ParseError,
     ResourceError,
     bsg_subset_oracle,
     corpus_load,
@@ -170,3 +172,15 @@ def test_corpus_empty_file(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text("")
     assert corpus_load(path) == []
+
+
+@pytest.mark.parametrize("bad", ["{not json", '{"set": ["1", "2"]}', '{"set": [1, 2]}', "[]"])
+def test_corpus_malformed_line_is_a_parse_error(tmp_path, bad):
+    path = tmp_path / "corpus.jsonl"
+    rec = search_extremal("SOLY-PROD", 3, "exhaustive",
+                          {"ground": FiniteSet(range(1, 7)), "budget": 100})
+    corpus_store(rec, path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n" + bad + "\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}, line 3: not a corpus record")):
+        corpus_load(path)

@@ -1,7 +1,10 @@
 """Pairwise operation sets, energies, the fiber spectrum and doubling bounds."""
 
+import operator
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +19,7 @@ from sumprod import (
     energy,
     energy_by_quadruples,
     lambda_set,
+    pair_counts,
     productset,
     quotientset,
     rep_counts,
@@ -153,3 +157,87 @@ def test_d_exhaustive_fixture():
 def test_d_exhaustive_dominates_default_bounds():
     A = FiniteSet([1, 2, 3, 5])
     assert d_exhaustive(A, A, 4).d_upper <= d_upper(A).d_upper
+
+
+# -- the integer pair kernel against Fraction brute force -------------------
+
+SET_OF = {"add": sumset, "sub": differenceset, "mul": productset, "div": quotientset}
+
+
+def brute_counts(A, B, op):
+    f = {"add": operator.add, "sub": operator.sub,
+         "mul": operator.mul, "div": operator.truediv}[op]
+    return Counter(f(a, b) for a in A for b in B if op != "div" or b != 0)
+
+
+def check_kernel(A, B):
+    """Every pairwise statistic of A, B equals its Fraction brute force."""
+    for op in SET_OF:
+        C = B.union(FiniteSet([0])) if op == "div" else B
+        brute = brute_counts(A, C, op)
+        if not brute:  # C = {0}
+            for f in (SET_OF[op], lambda A, C: rep_counts(A, C, op),
+                      lambda A, C: pair_counts(A, C, op)):
+                with pytest.raises(DomainError, match="no nonzero divisors"):
+                    f(A, C)
+            continue
+        assert SET_OF[op](A, C) == FiniteSet(brute)
+        assert rep_counts(A, C, op) == brute
+        keys, counts = pair_counts(A, C, op)
+        assert len(keys) == len(brute)
+        assert sorted(counts.tolist()) == sorted(brute.values())
+    for mode in ("add", "mul"):
+        if mode == "mul" and (A.has_zero() or B.has_zero()):
+            continue
+        squares = sum(c * c for c in brute_counts(A, B, mode).values())
+        assert energy(A, B, mode) == energy_by_quadruples(A, B, mode) == squares
+
+
+signed_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+signed_sets = st.sets(signed_rationals, min_size=1, max_size=6).map(FiniteSet)
+
+
+@given(signed_sets, signed_sets)
+@settings(max_examples=80, deadline=None)
+def test_pair_kernel_matches_fraction_brute_force(A, B):
+    check_kernel(A, B)
+
+
+ALL_OPS = {"add", "sub", "mul", "div"}
+HALVES = FiniteSet([Fraction(1, 2), Fraction(3, 2)])
+# 1/p for the first ten primes: their common denominator exceeds 2^31
+PRIME_RECIPROCALS = FiniteSet(Fraction(1, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
+
+
+@pytest.mark.parametrize("A, B, numpy_ops", [
+    # largest scaled integer 2^31 - 1: every op takes the int64 path
+    (FiniteSet([2**31 - 1, 1, 5]), FiniteSet([3, 7]), ALL_OPS),
+    (FiniteSet([-(2**31 - 1), 1, 5]), FiniteSet([-3, 7]), ALL_OPS),
+    (FiniteSet([Fraction(2**31 - 1, 6), Fraction(1, 2), Fraction(1, 3)]),
+     FiniteSet([Fraction(5, 6), 1]), ALL_OPS),
+    # largest scaled integer 2^31: the Python-int path
+    (FiniteSet([2**31, 1, 5]), FiniteSet([3, 7]), set()),
+    (FiniteSet([-(2**31), 1, 5]), FiniteSet([-3, 7]), set()),
+    (FiniteSet([Fraction(2**30, 3), Fraction(1, 2), Fraction(1, 3)]),
+     FiniteSet([Fraction(5, 6), 1]), set()),
+    # the joint denominator 2 scales 2^30 - 1/2 to 2^31 - 1 but 2^30 to 2^31;
+    # products scale each set on its own, so mul stays on int64
+    (FiniteSet([Fraction(2**31 - 1, 2), 1, 3]), HALVES, ALL_OPS),
+    (FiniteSet([2**30, 1, 3]), HALVES, {"mul"}),
+    # products of small p/q whose common denominator is past 2^31 key on
+    # the reduced element pairs, on int64
+    (PRIME_RECIPROCALS, PRIME_RECIPROCALS, {"mul"}),
+])
+def test_pair_kernel_at_the_int64_boundary(A, B, numpy_ops):
+    check_kernel(A, B)
+    for op in ALL_OPS:
+        keys, counts = pair_counts(A, B, op)
+        expected = np.int64 if op in numpy_ops else object
+        assert keys.dtype == expected and counts.dtype == expected, op
+
+
+@pytest.mark.parametrize("k", [20, 40])
+def test_close_quotients_come_out_in_order(k):
+    # 2^k/(2^k - 1) and (2^k + 1)/2^k differ by 1/(2^k (2^k - 1)), far less
+    # than one over the largest denominator a quotient key can hold
+    check_kernel(FiniteSet([2**k, 2**k + 1]), FiniteSet([2**k - 1, 2**k]))

@@ -8,6 +8,7 @@ import pytest
 from sumprod import (
     DomainError,
     FiniteSet,
+    ResourceError,
     dilate,
     evaluate,
     katz_koester_check,
@@ -16,6 +17,7 @@ from sumprod import (
     solplus_trace,
     verify_suite,
 )
+from sumprod import verify
 from sumprod.verify import REGISTRY, SetContext
 from sumprod._approx import product_pow
 
@@ -183,3 +185,27 @@ def test_solplus_trace_powers():
 def test_solplus_trace_guard():
     with pytest.raises(DomainError, match="capped at 14"):
         solplus_trace(A123, max_bsg_size=15)
+
+
+@pytest.mark.parametrize("rid", ["PROP-CRIT-P", "PROP-CRIT-Q"])
+def test_prop_crit_checks_the_cap_before_building(rid, monkeypatch):
+    def build(A, B):
+        raise AssertionError("the derived set was built before the cap check")
+
+    monkeypatch.setattr(verify, "productset", build)
+    monkeypatch.setattr(verify, "quotientset", build)
+    size = 6 if rid == "PROP-CRIT-P" else 7  # |AA| and |A/A| of {1, 2, 3}
+    with pytest.raises(ResourceError, match=rf"{rid}: \|derived set\| = {size} exceeds cap 5"):
+        evaluate(rid, A123, {"cap": 5})
+
+
+def test_gen_sigma_reuses_the_context_doubling_bound(monkeypatch):
+    calls = []
+    d_upper = verify.d_upper
+    monkeypatch.setattr(verify, "d_upper", lambda A: calls.append(A) or d_upper(A))
+    ctx = SetContext(POWERS4)
+    for rid in ("PREV-DA", "GEN-SIGMA", "DA-LEVEL"):
+        evaluate(rid, POWERS4, ctx=ctx)
+    assert calls == [POWERS4]
+    evaluate("GEN-SIGMA", POWERS4, {"A1": A123}, ctx=ctx)
+    assert calls == [POWERS4, A123]
