@@ -100,13 +100,3 @@ def log2_frac(value: Fraction, digits: int = DISPLAY_DIGITS) -> Fraction:
     with mpmath.workdps(_MPMATH_DPS):
         x = mpmath.mpf(num) / den
         return _mpmath_decimal(mpmath.log(x, 2), digits)
-
-
-def ln_frac(value: Fraction, digits: int = DISPLAY_DIGITS) -> Fraction:
-    """Deterministic decimal approximation of ln(value), value > 0."""
-    value = Fraction(value)
-    if value <= 0:
-        raise ValueError("log of nonpositive value")
-    with mpmath.workdps(_MPMATH_DPS):
-        x = mpmath.mpf(value.numerator) / value.denominator
-        return _mpmath_decimal(mpmath.log(x), digits)

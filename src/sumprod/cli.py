@@ -37,7 +37,6 @@ from .stats import (
     energy,
     energy_by_quadruples,
     pair_counts,
-    spectrum,
 )
 
 EXIT_OK = 0
@@ -82,12 +81,13 @@ def _cmd_stats(args) -> int:
         "energy_mul": None if zero else energy(A, mode="mul"),
     }
     if not zero:
-        spec = spectrum(A)
+        # the nonempty slices partition the spectrum, largest fibers last
+        slices = [s for s in dyadic_slices(A) if s.sizes]
         out["spectrum"] = {
-            "lambdas": len(spec),
-            "max_fiber": max(s for _, s in spec),
+            "lambdas": sum(len(s.sizes) for s in slices),
+            "max_fiber": max(slices[-1].sizes.values()),
             "slices": [{"tau": format_scalar(Fraction(s.tau)), "count": len(s.sizes)}
-                       for s in dyadic_slices(A) if s.sizes],
+                       for s in slices],
         }
         prof = d_upper(A)
         out["doubling"] = {

@@ -13,7 +13,7 @@ from math import comb, gcd, lcm
 
 import numpy as np
 
-from ._approx import log2_frac, ln_frac, sqrt_frac
+from ._approx import log2_frac, sqrt_frac
 from .exactset import (
     DomainError,
     FiniteSet,
@@ -147,19 +147,22 @@ def sigma_max(A1: FiniteSet, A2: FiniteSet, A3: FiniteSet,
 
 # -- collinear triples -----------------------------------------------------
 
-def _canonical_points(points) -> list[tuple[Fraction, Fraction]]:
+def _canonical_points(points) -> set[tuple[Fraction, Fraction]]:
     pts = {(as_scalar(x), as_scalar(y)) for x, y in points}
     if not pts:
         raise DomainError("empty point set")
-    return sorted(pts)
+    return pts
 
 
-def _scaled_point_ints(pts) -> tuple[list[int], list[int]]:
+def _scaled_point_ints(pts) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The points times their joint denominator, in lexicographic order."""
     m = lcm(*(c.denominator for p in pts for c in p))
-    return [int(p[0] * m) for p in pts], [int(p[1] * m) for p in pts]
+    return tuple(zip(*sorted((x.numerator * (m // x.denominator),
+                              y.numerator * (m // y.denominator)) for x, y in pts)))
 
 
 _GRID_INT64_SAFE = 1 << 30
+_COLLINEAR_BLOCK = 1 << 13  # pairs per numpy tile
 
 
 def collinear_triples(points) -> int:
@@ -170,9 +173,11 @@ def collinear_triples(points) -> int:
 
         T = n + 3n(n-1) + D3.
 
-    D3 is computed by grouping, around each point, the directions to all
-    other points: each ordered triple of distinct collinear points is seen
-    exactly once at its first element.
+    D3 is computed from each unordered pair of points once.  In
+    lexicographic order, the later points on a line through point i all
+    lie in its one direction with dx > 0, or dx = 0 and dy > 0; if c of
+    them share a direction, the c(c-1) summed over the points of a line
+    of m points is m(m-1)(m-2)/3, so D3 is three times that sum.
     """
     pts = _canonical_points(points)
     n = len(pts)
@@ -180,7 +185,7 @@ def collinear_triples(points) -> int:
     if n <= 2:
         return degenerate
     xs, ys = _scaled_point_ints(pts)
-    span = max(max(map(abs, xs)), max(map(abs, ys)))
+    span = max(map(abs, xs + ys))
     if span < _GRID_INT64_SAFE:
         d3 = _distinct_collinear_numpy(xs, ys)
     else:
@@ -189,42 +194,49 @@ def collinear_triples(points) -> int:
 
 
 def _distinct_collinear_numpy(xs, ys) -> int:
+    """D3 of lexicographically sorted points, in int64 tiles.
+
+    A tile holds at most `_COLLINEAR_BLOCK` pairs: rows i = s..e-1 against
+    the columns j > s.  The direction key dx*(4*span+3) + dy of a later
+    point j > i is positive; the entries j <= i get the distinct negative
+    keys -j, runs of length one that add nothing.
+    """
     X = np.array(xs, dtype=np.int64)
     Y = np.array(ys, dtype=np.int64)
     n = len(X)
     key_base = 4 * int(max(np.max(np.abs(X)), np.max(np.abs(Y)))) + 3
     total = 0
-    for i in range(n):
-        dx = np.delete(X - X[i], i)
-        dy = np.delete(Y - Y[i], i)
-        g = np.gcd(np.abs(dx), np.abs(dy))
-        dx //= g
-        dy //= g
-        flip = (dx < 0) | ((dx == 0) & (dy < 0))
-        dx[flip] *= -1
-        dy[flip] *= -1
-        _, counts = np.unique(dx * key_base + dy, return_counts=True)
-        total += int(np.sum(counts * (counts - 1)))
-    return total
+    s = 0
+    while s < n - 1:
+        cols = np.arange(s + 1, n)
+        e = min(n - 1, s + max(1, _COLLINEAR_BLOCK // len(cols)))
+        dx = X[s + 1:] - X[s:e, None]
+        dy = Y[s + 1:] - Y[s:e, None]
+        g = np.maximum(np.gcd(dx, dy), 1)  # g = 0 at j = i
+        key = np.where(cols > np.arange(s, e)[:, None],
+                       dx // g * key_base + dy // g, -cols)
+        key.sort(axis=1)
+        run_start = np.ones(key.shape, dtype=bool)
+        np.not_equal(key[:, 1:], key[:, :-1], out=run_start[:, 1:])
+        c = np.diff(np.flatnonzero(run_start), append=key.size)
+        total += int(c @ (c - 1))
+        s = e
+    return 3 * total
 
 
 def _distinct_collinear_python(xs, ys) -> int:
+    """D3 of lexicographically sorted points with Python ints."""
     n = len(xs)
     total = 0
-    for i in range(n):
+    for i in range(n - 1):
         dirs: Counter = Counter()
         xi, yi = xs[i], ys[i]
-        for j in range(n):
-            if j == i:
-                continue
+        for j in range(i + 1, n):
             dx, dy = xs[j] - xi, ys[j] - yi
-            g = gcd(abs(dx), abs(dy))
-            dx, dy = dx // g, dy // g
-            if dx < 0 or (dx == 0 and dy < 0):
-                dx, dy = -dx, -dy
-            dirs[(dx, dy)] += 1
+            g = gcd(dx, dy)
+            dirs[(dx // g, dy // g)] += 1
         total += sum(c * (c - 1) for c in dirs.values())
-    return total
+    return 3 * total
 
 
 def collinear_triples_brute(points, limit: int = 3_000_000) -> int:
@@ -435,13 +447,8 @@ def er_chain(A: FiniteSet, triples_limit: int = TRIPLES_POINT_LIMIT) -> ErChain:
         checks["tripple_low"] = T * m * n * n >= U**4
 
     log2n = log2_frac(Fraction(n))
-    lnn = ln_frac(Fraction(n))
-    ratios = {
-        "er_log2": Fraction(Ep) ** 4 / (m * Fraction(n) ** 10 * log2n),
-        "er_ln": Fraction(Ep) ** 4 / (m * Fraction(n) ** 10 * lnn),
-    }
+    ratios = {"er_log2": Fraction(Ep) ** 4 / (m * Fraction(n) ** 10 * log2n)}
     if T is not None:
         ratios["triples_upper_log2"] = T / (Fraction(len(X)) ** 4 * log2n)
-        ratios["triples_upper_ln"] = T / (Fraction(len(X)) ** 4 * lnn)
 
     return ErChain(N=N, F=F, U=U, T=T, checks=checks, ratios=ratios)

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, gcd, lcm, log2
+from math import gcd, lcm
 
 import numpy as np
 
@@ -229,8 +229,7 @@ def dyadic_slices(A: FiniteSet) -> list[SpectrumSlice]:
     indices line up with j.
     """
     spec = spectrum(A)
-    n_slices = ceil(log2(len(A))) + 1 if len(A) > 1 else 1
-    buckets: list[dict] = [{} for _ in range(n_slices)]
+    buckets: list[dict] = [{} for _ in range((len(A) - 1).bit_length() + 1)]
     for lam, size in spec:
         j = 0 if size == 1 else (size - 1).bit_length()
         buckets[j][lam] = size

@@ -461,7 +461,8 @@ def smallL_construction(A: FiniteSet) -> SmallLReport:
     ctx = SetContext(A)
     Ex = ctx.Ex
     threshold = Fraction(Ex, 2 * ctx.n**2)
-    slices = [s for s in dyadic_slices(A) if s.sizes]
+    all_slices = dyadic_slices(A)
+    slices = [s for s in all_slices if s.sizes]
     mass_all = sum(len(s.sizes) * s.tau**2 for s in slices)
     qualifying = [s for s in slices if s.tau >= threshold]
     mass_qual = sum(len(s.sizes) * s.tau**2 for s in qualifying)
@@ -470,7 +471,7 @@ def smallL_construction(A: FiniteSet) -> SmallLReport:
         "energy_mul": Ex,
         "slice_mass_all": mass_all,
         "slice_mass_qualifying": mass_qual,
-        "n_slices": len(dyadic_slices(A)),
+        "n_slices": len(all_slices),
     }
     if not qualifying:
         return SmallLReport(L=ctx.L_quot, L_prod=ctx.L_prod, tau=None,

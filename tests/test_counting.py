@@ -247,6 +247,53 @@ def test_collinear_direction_keys_at_the_int64_boundary(span, path, monkeypatch)
     assert collinear_triples(pts) == collinear_triples_brute(pts)
 
 
+def test_collinear_python_path_on_a_span_2_31_grid(monkeypatch):
+    # 5x5 grid of step 2^29 with a few points removed, so span 2^31; the
+    # column a = 0, the row b = 0 and the main diagonal keep 4 or 5 points
+    s = 2**29
+    pts = [(a * s, b * s) for a in range(5) for b in range(5) if a * b % 3 != 1]
+
+    def wrong_path(xs, ys):
+        raise AssertionError("span 2^31 routed to _distinct_collinear_numpy")
+
+    monkeypatch.setattr(counting, "_distinct_collinear_numpy", wrong_path)
+    assert collinear_triples(pts) == collinear_triples_brute(pts)
+
+
+def _respell(v):
+    """An integral value spelled as the other of int and Fraction."""
+    if isinstance(v, int):
+        return Fraction(v)
+    return int(v) if v.denominator == 1 else v
+
+
+coords = st.builds(lambda v, as_int: int(v) if as_int and v.denominator == 1 else v,
+                   st.sampled_from(SMALL_SIGNED), st.booleans())
+
+
+@st.composite
+def point_lists(draw):
+    pts = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        # a line of 4 to 6 points, vertical when dx = 0
+        x0, y0 = draw(coords), draw(coords)
+        dx = draw(st.sampled_from([0, 1, -1, Fraction(1, 2)]))
+        dy = draw(st.sampled_from([0, 1, -2, Fraction(1, 3)]) if dx else st.just(1))
+        pts += [(x0 + k * dx, y0 + k * dy) for k in range(draw(st.integers(4, 6)))]
+    pts += [(_respell(x), _respell(y)) for x, y in draw(st.lists(st.sampled_from(pts)))]
+    return draw(st.permutations(pts))
+
+
+@pytest.mark.parametrize("block", [1, 7, counting._COLLINEAR_BLOCK])
+@given(pts=point_lists())
+@settings(max_examples=60, deadline=None)
+def test_collinear_matches_brute_in_any_tiling(block, pts):
+    # blocks of one row, and row blocks that end partway along a line
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_COLLINEAR_BLOCK", block)
+        assert collinear_triples(pts) == collinear_triples_brute(pts)
+
+
 # -- cluster construction --------------------------------------------------
 
 DIVISOR_RICH = FiniteSet([1, 2, 3, 4, 6, 9, 12, 18, 36])

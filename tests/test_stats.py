@@ -125,6 +125,16 @@ def test_spectrum_moment_identities(A):
     assert sum(s * s for s in sizes) == energy(A, mode="mul")
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_dyadic_slice_count_around_powers_of_two(k):
+    # windows j = 0..ceil(log2 n); the last holds lambda = 1, whose fiber is A
+    for n, count in ((2**k - 1, k + 1), (2**k, k + 1), (2**k + 1, k + 2)):
+        slices = dyadic_slices(FiniteSet(range(1, n + 1)))
+        assert len(slices) == count
+        assert slices[-1].sizes[1] == n
+    assert len(dyadic_slices(FiniteSet([5]))) == 1
+
+
 @given(positive_sets)
 @settings(max_examples=40, deadline=None)
 def test_dyadic_slices_partition(A):
