@@ -31,13 +31,7 @@ from .exactset import (
     format_scalar,
     load_set_file,
 )
-from .stats import (
-    d_upper,
-    dyadic_slices,
-    energy,
-    energy_by_quadruples,
-    pair_counts,
-)
+from .stats import energy_by_quadruples
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,26 +64,26 @@ def _human(x: Fraction) -> str:
 # -- stats -----------------------------------------------------------------
 
 def _cmd_stats(args) -> int:
-    A = load_set_file(args.input)
-    zero = A.has_zero()
+    ctx = verify_mod.SetContext(load_set_file(args.input))
+    zero = ctx.A.has_zero()
     out = {
-        "n": len(A),
-        "sumset": len(pair_counts(A, A, "add")[0]),
-        "productset": len(pair_counts(A, A, "mul")[0]),
-        "quotientset": len(pair_counts(A, A, "div")[0]) if len(A) > 1 or not zero else None,
-        "energy_add": energy(A, mode="add"),
-        "energy_mul": None if zero else energy(A, mode="mul"),
+        "n": ctx.n,
+        "sumset": ctx.nsum,
+        "productset": ctx.nprod,
+        "quotientset": ctx.nquot if ctx.n > 1 or not zero else None,
+        "energy_add": ctx.Ep,
+        "energy_mul": None if zero else ctx.Ex,
     }
     if not zero:
         # the nonempty slices partition the spectrum, largest fibers last
-        slices = [s for s in dyadic_slices(A) if s.sizes]
+        slices = [s for s in ctx.slices if s.sizes]
         out["spectrum"] = {
             "lambdas": sum(len(s.sizes) for s in slices),
             "max_fiber": max(slices[-1].sizes.values()),
             "slices": [{"tau": format_scalar(Fraction(s.tau)), "count": len(s.sizes)}
                        for s in slices],
         }
-        prof = d_upper(A)
+        prof = ctx.dhat
         out["doubling"] = {
             "K_mul": format_scalar(prof.K_mul),
             "d_upper": format_scalar(prof.d_upper),
@@ -179,12 +173,15 @@ def _cmd_explore(args) -> int:
 # -- oracle ----------------------------------------------------------------
 
 def _cmd_oracle(args) -> int:
+    if args.samples < 0:
+        raise _UsageError(f"--samples must be >= 0, got {args.samples}")
     A = load_set_file(args.input)
     results = {}
     if args.op == "energy-brute":
+        ctx = verify_mod.SetContext(A)
         modes = ["add"] if A.has_zero() else ["add", "mul"]
         for mode in modes:
-            fast = energy(A, mode=mode)
+            fast = ctx.Ep if mode == "add" else ctx.Ex
             brute = energy_by_quadruples(A, mode=mode)
             results[f"energy_{mode}"] = {"fast": fast, "brute": brute,
                                          "match": fast == brute}

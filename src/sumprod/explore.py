@@ -204,6 +204,8 @@ def search_extremal(inequality_id: str, n: int, mode: str,
     best = None
     truncated = False
     if mode == "exhaustive":
+        if budget < 1:
+            raise DomainError(f"exhaustive search needs budget >= 1, got {budget}")
         evaluated = 0
         for combo in combinations(ground.elements, n):
             if evaluated >= budget:

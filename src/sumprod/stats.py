@@ -105,9 +105,9 @@ def pair_counts(A: FiniteSet, B: FiniteSet, op: str) -> tuple[np.ndarray, np.nda
     return keys, counts
 
 
-def _pair_values(A, B, op: str) -> tuple[list[Fraction], list[int]]:
-    """The distinct values of a∘b in increasing order, with their counts."""
-    keys, counts, den, shift = _pair_keys(A, B, op)
+def _ordered(result) -> tuple[list[Fraction], list[int]]:
+    """The distinct values of a `_pair_keys` result in increasing order, with their counts."""
+    keys, counts, den, shift = result
     pairs = zip(keys.tolist(), counts.tolist())
     if shift is None:
         pairs = sorted(pairs)
@@ -123,22 +123,22 @@ def _pair_values(A, B, op: str) -> tuple[list[Fraction], list[int]]:
 
 def sumset(A: FiniteSet, B: FiniteSet) -> FiniteSet:
     """{a+b : a in A, b in B}."""
-    return FiniteSet.from_sorted(_pair_values(A, B, "add")[0])
+    return FiniteSet.from_sorted(_ordered(_pair_keys(A, B, "add"))[0])
 
 
 def differenceset(A: FiniteSet, B: FiniteSet) -> FiniteSet:
     """{a-b : a in A, b in B}."""
-    return FiniteSet.from_sorted(_pair_values(A, B, "sub")[0])
+    return FiniteSet.from_sorted(_ordered(_pair_keys(A, B, "sub"))[0])
 
 
 def productset(A: FiniteSet, B: FiniteSet) -> FiniteSet:
     """{ab : a in A, b in B}."""
-    return FiniteSet.from_sorted(_pair_values(A, B, "mul")[0])
+    return FiniteSet.from_sorted(_ordered(_pair_keys(A, B, "mul"))[0])
 
 
 def quotientset(A: FiniteSet, B: FiniteSet) -> FiniteSet:
     """{a/b : a in A, b in B, b != 0}."""
-    return FiniteSet.from_sorted(_pair_values(A, B, "div")[0])
+    return FiniteSet.from_sorted(_ordered(_pair_keys(A, B, "div"))[0])
 
 
 def rep_counts(A: FiniteSet, B: FiniteSet, mode: str) -> Counter:
@@ -146,7 +146,7 @@ def rep_counts(A: FiniteSet, B: FiniteSet, mode: str) -> Counter:
 
     mode 'div' skips pairs with b = 0 (mirrors the b != 0 in A/B).
     """
-    return Counter(dict(zip(*_pair_values(A, B, mode))))
+    return Counter(dict(zip(*_ordered(_pair_keys(A, B, mode)))))
 
 
 def energy(A: FiniteSet, B: FiniteSet | None = None, mode: str = "add") -> int:
@@ -209,7 +209,7 @@ def spectrum(A: FiniteSet) -> list[tuple[Scalar, int]]:
     """
     if A.has_zero():
         raise DomainError("spectrum requires 0 not in A")
-    return list(zip(*_pair_values(A, A, "div")))
+    return list(zip(*_ordered(_pair_keys(A, A, "div"))))
 
 
 @dataclass(frozen=True)
@@ -228,8 +228,12 @@ def dyadic_slices(A: FiniteSet) -> list[SpectrumSlice]:
     (1/2, 1] captures the size-1 fibers.  Empty slices are kept so slice
     indices line up with j.
     """
-    spec = spectrum(A)
-    buckets: list[dict] = [{} for _ in range((len(A) - 1).bit_length() + 1)]
+    return _dyadic(len(A), spectrum(A))
+
+
+def _dyadic(n: int, spec) -> list[SpectrumSlice]:
+    """The dyadic slices of the spectrum pairs (lambda, |A_lambda|) of an n-element set."""
+    buckets: list[dict] = [{} for _ in range((n - 1).bit_length() + 1)]
     for lam, size in spec:
         j = 0 if size == 1 else (size - 1).bit_length()
         buckets[j][lam] = size
@@ -267,17 +271,20 @@ def d_upper(A: FiniteSet, candidates: list[FiniteSet] = (),
     """
     if A.has_zero():
         raise DomainError("doubling profile requires 0 not in A")
-    nquot = len(pair_counts(A, A, "div")[0])
-    K_mul = Fraction(min(len(pair_counts(A, A, "mul")[0]), nquot), len(A))
+    n, quots = len(A), _pair_keys(A, A, "div")
+    nprod, nquot = len(pair_counts(A, A, "mul")[0]), len(quots[0])
+    K_mul = Fraction(min(nprod, nquot), n)
 
-    defaults = [FiniteSet([1]), A, A.inverse()]
-    if len(A) * nquot <= pair_budget:
-        defaults.append(quotientset(A, A))
-    scored = []
-    for C in defaults + list(candidates):
+    # |A·{1}| = |A|, |A·A| = |AA| and A·A^{-1} = A/A: no new pairs to count
+    scored = [(Fraction(size**2, n * len(C)), C) for C, size in
+              ((FiniteSet([1]), n), (A, nprod), (A.inverse(), nquot)) if n * len(C) <= pair_budget]
+    if n * nquot <= pair_budget:
+        AQ = FiniteSet.from_sorted(_ordered(quots)[0])
+        scored.append((_ratio_for(A, AQ), AQ))
+    for C in candidates:
         if C.has_zero():
             raise DomainError("candidate contains zero")
-        if len(A) * len(C) <= pair_budget:
+        if n * len(C) <= pair_budget:
             scored.append((_ratio_for(A, C), C))
     best, witness = min(scored, key=lambda rc: rc[0], default=(None, None))
     return DoublingProfile(K_mul=K_mul, d_upper=best, witness_C=witness)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from . import stats
 from ._approx import log2_frac, product_pow
 from .counting import sigma_count, solymosi_cluster_report
 from .exactset import (
@@ -27,7 +28,6 @@ from .exactset import (
 from .stats import (
     DoublingProfile,
     d_upper,
-    dyadic_slices,
     energy,
     lambda_set,
     pair_counts,
@@ -85,23 +85,36 @@ def _digest(A: FiniteSet) -> str:
 
 
 class SetContext:
-    """Caches the basic statistics of one set across registry entries."""
+    """The statistics of one set A, each derived once from at most one pair-kernel
+    run for each of add, mul and div on A×A.  A context serves one top-level
+    call, so no statistic outlives the call that derived it."""
 
     def __init__(self, A: FiniteSet):
         self.A = A
         self.n = len(A)
+        self._kernel = {}
+
+    def kernel(self, op: str):
+        """The pair-kernel result for A∘A, computed on first use."""
+        if op not in self._kernel:
+            self._kernel[op] = stats._pair_keys(self.A, self.A, op)
+        return self._kernel[op]
+
+    def counts(self, X: FiniteSet, Y: FiniteSet, op: str):
+        """The counts of `pair_counts(X, Y, op)`, from the context when X and Y are A."""
+        return self.kernel(op)[1] if X is self.A and Y is self.A else pair_counts(X, Y, op)[1]
 
     @cached_property
     def nsum(self) -> int:
-        return len(pair_counts(self.A, self.A, "add")[0])
+        return len(self.kernel("add")[1])
 
     @cached_property
     def nprod(self) -> int:
-        return len(pair_counts(self.A, self.A, "mul")[0])
+        return len(self.kernel("mul")[1])
 
     @cached_property
     def nquot(self) -> int:
-        return len(pair_counts(self.A, self.A, "div")[0])
+        return len(self.kernel("div")[1])
 
     @cached_property
     def K(self) -> Fraction:
@@ -109,11 +122,22 @@ class SetContext:
 
     @cached_property
     def Ex(self) -> int:
-        return energy(self.A, mode="mul")
+        if self.A.has_zero():
+            raise DomainError("zero element in multiplicative energy")
+        c = self.kernel("mul")[1]
+        return int(c @ c)
 
     @cached_property
     def Ep(self) -> int:
-        return energy(self.A, mode="add")
+        c = self.kernel("add")[1]
+        return int(c @ c)
+
+    @cached_property
+    def slices(self) -> list:
+        """`dyadic_slices(A)`, from the context's A/A."""
+        if self.A.has_zero():
+            raise DomainError("spectrum requires 0 not in A")
+        return stats._dyadic(self.n, zip(*stats._ordered(self.kernel("div"))))
 
     @cached_property
     def dhat(self) -> DoublingProfile:
@@ -225,7 +249,8 @@ def _cs_subs(ctx, params):
     A2 = params.get("A2", ctx.A)
     if not (A1 <= ctx.A and A2 <= ctx.A):
         raise DomainError("CS-SUBS requires A1, A2 subsets of A")
-    lhs = Fraction(energy(A1, A2, "mul")) * min(ctx.nquot, ctx.nprod)
+    c = ctx.counts(A1, A2, "mul")
+    lhs = Fraction(int(c @ c)) * min(ctx.nquot, ctx.nprod)
     rhs = Fraction(len(A1)) ** 2 * Fraction(len(A2)) ** 2
     return _explicit("CS-SUBS", ctx, lhs, rhs)
 
@@ -237,9 +262,9 @@ def _levelset(ctx, params):
         raise DomainError("LEVELSET requires min size 2")
     if tau < 1:
         raise DomainError("LEVELSET requires tau >= 1")
-    _, counts = pair_counts(ctx.A, B, "div")
+    counts = ctx.counts(ctx.A, B, "div")
     lhs = Fraction(sum(1 for c in counts.tolist() if c >= tau))
-    nsumB = len(pair_counts(B, B, "add")[0])
+    nsumB = len(ctx.counts(B, B, "add"))
     rhs = Fraction(ctx.nsum * nsumB) / tau**2
     return InequalityReport(id="LEVELSET", lhs=lhs, rhs=rhs,
                             ratio=lhs / rhs, explicit=False, passed=None,
@@ -251,8 +276,9 @@ def _energy_sumset(ctx, params):
     _need(ctx, nonzero=True)
     if B.has_zero():
         raise DomainError("entry requires 0 not in B")
-    lhs = Fraction(energy(ctx.A, B, "mul"))
-    nsumB = len(pair_counts(B, B, "add")[0])
+    c = ctx.counts(ctx.A, B, "mul")
+    lhs = Fraction(int(c @ c))
+    nsumB = len(ctx.counts(B, B, "add"))
     logm = log2_frac(Fraction(min(len(ctx.A), len(B))))
     if logm == 0:
         raise DomainError("ENERGY-SUMSET requires min size 2")
@@ -266,7 +292,7 @@ def _da_level(ctx, params):
     tau = Fraction(params.get("tau", 2))
     if tau < 1:
         raise DomainError("DA-LEVEL requires tau >= 1")
-    _, counts = pair_counts(ctx.A, B, "add")
+    counts = ctx.counts(ctx.A, B, "add")
     lhs = Fraction(sum(1 for c in counts.tolist() if c >= tau))
     rhs = ctx.dhat.d_upper * ctx.n * Fraction(len(B)) ** 2 / tau**3
     return InequalityReport(id="DA-LEVEL", lhs=lhs, rhs=rhs, ratio=lhs / rhs,
@@ -333,7 +359,7 @@ def _prop_crit(ctx, params, product_variant: bool):
     size = ctx.nprod if product_variant else ctx.nquot
     if size > cap:
         raise ResourceError(f"{rid}: |derived set| = {size} exceeds cap {cap}")
-    big = productset(ctx.A, ctx.A) if product_variant else quotientset(ctx.A, ctx.A)
+    big = FiniteSet.from_sorted(stats._ordered(ctx.kernel("mul" if product_variant else "div"))[0])
     L = ctx.L_prod if product_variant else ctx.L_quot
     lhs = Fraction(energy(big, mode="mul"))
     rhs = Fraction(ctx.Ex) ** 3 / (L**32 * Fraction(ctx.n) ** 4)
@@ -352,10 +378,10 @@ def _lemma3(ctx, params):
     _need(ctx, nonzero=True, positive=True)
     tau = params.get("tau")
     if tau is None:
-        rep = smallL_construction(ctx.A)
-        if rep.tau is None:
+        chosen = _choose_slice(ctx)[2]
+        if chosen is None:
             raise DomainError("LEMMA3: no qualifying dyadic slice")
-        tau = rep.tau
+        tau = chosen.tau
     M = params.get("M", 2)
     S_sub = params.get("S_sub")
     pair_budget = params.get("pair_budget", 200_000)
@@ -451,39 +477,44 @@ class SmallLReport:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _choose_slice(ctx: SetContext):
+    """The threshold E×(A)/(2|A|^2), the nonempty dyadic slices at or above
+    it, and the one of maximal |S_tau| tau^2 (then tau) among them, or None."""
+    threshold = Fraction(ctx.Ex, 2 * ctx.n**2)
+    qualifying = [s for s in ctx.slices if s.sizes and s.tau >= threshold]
+    chosen = max(qualifying, key=lambda s: (len(s.sizes) * s.tau**2, s.tau), default=None)
+    return threshold, qualifying, chosen
+
+
 def smallL_construction(A: FiniteSet) -> SmallLReport:
     """Pick the dyadic slice of maximal |S_tau| tau^2 above the energy
     threshold and split it by fiber additive energy."""
-    if len(A) < 2:
+    return _smallL(SetContext(A))
+
+
+def _smallL(ctx: SetContext) -> SmallLReport:
+    if ctx.n < 2:
         raise DomainError("construction requires |A| >= 2")
-    if A.has_zero():
+    if ctx.A.has_zero():
         raise DomainError("construction requires 0 not in A")
-    ctx = SetContext(A)
-    Ex = ctx.Ex
-    threshold = Fraction(Ex, 2 * ctx.n**2)
-    all_slices = dyadic_slices(A)
-    slices = [s for s in all_slices if s.sizes]
-    mass_all = sum(len(s.sizes) * s.tau**2 for s in slices)
-    qualifying = [s for s in slices if s.tau >= threshold]
-    mass_qual = sum(len(s.sizes) * s.tau**2 for s in qualifying)
+    threshold, qualifying, chosen = _choose_slice(ctx)
     diagnostics = {
         "threshold": threshold,
-        "energy_mul": Ex,
-        "slice_mass_all": mass_all,
-        "slice_mass_qualifying": mass_qual,
-        "n_slices": len(all_slices),
+        "energy_mul": ctx.Ex,
+        "slice_mass_all": sum(len(s.sizes) * s.tau**2 for s in ctx.slices),
+        "slice_mass_qualifying": sum(len(s.sizes) * s.tau**2 for s in qualifying),
+        "n_slices": len(ctx.slices),
     }
-    if not qualifying:
+    if chosen is None:
         return SmallLReport(L=ctx.L_quot, L_prod=ctx.L_prod, tau=None,
                             S_tau=None, S_prime=None, S_doubleprime=None,
                             min_additive_energy_ratio=None,
                             min_quotient_ratio=None, min_product_ratio=None,
                             diagnostics=diagnostics)
 
-    chosen = max(qualifying, key=lambda s: (len(s.sizes) * s.tau**2, s.tau))
     tau = chosen.tau
     S_tau = chosen.lambdas
-    fibers = {lam: lambda_set(A, lam) for lam in S_tau}
+    fibers = {lam: lambda_set(ctx.A, lam) for lam in S_tau}
     fiber_energy = {lam: energy(fibers[lam], mode="add") for lam in S_tau}
 
     if len(S_tau) == 1:
@@ -553,10 +584,10 @@ def solplus_trace(A: FiniteSet, max_bsg_size: int = 14) -> SolPlusTrace:
     """Trace L, L', eta and the dense-subset/dilation step on a small set."""
     if max_bsg_size > 14:
         raise DomainError("max_bsg_size capped at 14")
-    rep = smallL_construction(A)
+    ctx = SetContext(A)
+    rep = _smallL(ctx)
     if rep.tau is None:
         raise DomainError("no qualifying dyadic slice")
-    ctx = SetContext(A)
     L_prime = max(Fraction(1), Fraction(ctx.nquot) ** 3 / Fraction(ctx.n) ** 4)
     eta = rep.L**-64 * ctx.Ex * rep.tau**6 / Fraction(ctx.nquot) ** 5
 

@@ -1,10 +1,15 @@
 """Exit codes, JSON canonicalization and oracle wiring of the command surface."""
 
+import contextlib
+import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sumprod import explore
+from sumprod import (FiniteSet, d_upper, dyadic_slices, energy, explore, format_scalar,
+                     productset, quotientset, sumset)
 from sumprod.cli import main
 
 
@@ -146,3 +151,122 @@ def test_explore_unwritable_corpus_exit_1(tmp_path, capsys, monkeypatch):
                          "--corpus", str(corpus))
     assert code == 1 and out == ""
     assert err.startswith("usage error:") and str(corpus) in err
+
+
+def test_explore_zero_budget_exit_1(capsys, monkeypatch):
+    def ratio_of(*args):
+        raise AssertionError("a set was evaluated before the budget check")
+
+    monkeypatch.setattr(explore, "_ratio_of", ratio_of)
+    code, out, err = run(capsys, "explore", "--ineq", "SOLY-PROD", "--n", "3", "--budget", "0")
+    assert code == 1 and out == ""
+    assert err == "invalid input: exhaustive search needs budget >= 1, got 0\n"
+
+
+def test_oracle_negative_samples_exit_1(three, capsys):
+    code, out, err = run(capsys, "oracle", "--input", three,
+                         "--op", "sigma-max-sample", "--samples", "-3")
+    assert code == 1 and out == ""
+    assert err == "usage error: --samples must be >= 0, got -3\n"
+
+
+# -- the error contract under malformed input ------------------------------
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+value_lines = st.one_of(
+    st.integers(-40, 40).map(str),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7).map(format_scalar))
+garbage_lines = st.one_of(
+    st.sampled_from(["abc", "1/0", "2/-3", "1.5", "1e3", "--4", "0x1f", "1//2", "3/", "/3",
+                     "\u00bd"]),
+    st.text("xyz+-.*", min_size=1, max_size=4))
+FILE_COMMANDS = (["stats"], ["stats", "--json"], ["verify"], ["verify", "--json"],
+                 ["oracle", "--op", "energy-brute"])
+BAD_FLAGS = ([], ["frobnicate"], ["stats"], ["verify", "--input", "{path}", "--json=yes"],
+             ["oracle", "--input", "{path}", "--op", "nope"],
+             ["oracle", "--input", "{path}", "--op", "energy-brute", "--samples", "many"],
+             ["explore", "--ineq", "SOLY-PROD", "--n", "three"],
+             ["explore", "--ineq", "SOLY-PROD", "--n", "3", "--mode", "sideways"],
+             ["explore", "--ineq", "SOLY-PROD", "--n", "3", "--budget", "1.5"])
+
+
+@st.composite
+def malformed_runs(draw):
+    """(argv with {path} for the set file, the file's bytes, exit code, stderr prefix)."""
+    kind = draw(st.sampled_from(["garbage", "non-utf8", "flag", "budget", "samples"]))
+    lines = draw(st.lists(value_lines, max_size=5, unique=True))
+    if kind == "garbage":
+        lines.insert(draw(st.integers(0, len(lines))), draw(garbage_lines))
+    data = "\n".join(lines or ["1"]).encode()
+    if kind in ("garbage", "non-utf8"):
+        if kind == "non-utf8":
+            at = draw(st.integers(0, len(data)))
+            bad = draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3(", b"\x80", b"\xed\xa0\x80"]))
+            data = data[:at] + bad + data[at:]
+        argv = draw(st.sampled_from(FILE_COMMANDS)) + ["--input", "{path}"]
+        return argv, data, 2, "parse error:"
+    if kind == "flag":
+        argv = draw(st.sampled_from(BAD_FLAGS + (None,)))
+        if argv is None:  # a flag no subcommand has
+            flag = "--x" + draw(st.text("abcdefghij", max_size=6))
+            argv = draw(st.sampled_from(FILE_COMMANDS)) + ["--input", "{path}", flag]
+        return argv, data, 1, "usage error:"
+    if kind == "budget":
+        budget = str(-draw(st.integers(0, 10**6)))
+        return (["explore", "--ineq", "SOLY-PROD", "--n", "3", "--budget", budget],
+                data, 1, "invalid input:")
+    op = draw(st.sampled_from(["energy-brute", "triples-brute", "sigma-max-sample"]))
+    samples = str(-draw(st.integers(1, 10**6)))
+    return (["oracle", "--input", "{path}", "--op", op, "--samples", samples],
+            data, 1, "usage error:")
+
+
+@given(case=malformed_runs())
+@settings(max_examples=120, deadline=None)
+def test_malformed_input_keeps_the_error_contract(tmp_path_factory, case):
+    argv, data, expected_code, prefix = case
+    path = tmp_path_factory.getbasetemp() / "malformed.txt"
+    path.write_bytes(data)
+    code, out, err = run_captured([a.replace("{path}", str(path)) for a in argv])
+    assert code == expected_code and out == ""
+    assert err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def public_stats(A):
+    """What `stats --json` reports, from the public functions one by one."""
+    zero = A.has_zero()
+    out = {"n": len(A), "sumset": len(sumset(A, A)), "productset": len(productset(A, A)),
+           "quotientset": None if A == FiniteSet([0]) else len(quotientset(A, A)),
+           "energy_add": energy(A), "energy_mul": None if zero else energy(A, mode="mul"),
+           "spectrum": None, "doubling": None}
+    if not zero:
+        slices = [s for s in dyadic_slices(A) if s.sizes]
+        out["spectrum"] = {"lambdas": len(quotientset(A, A)),
+                           "max_fiber": max(max(s.sizes.values()) for s in slices),
+                           "slices": [{"tau": format_scalar(s.tau), "count": len(s.sizes)}
+                                      for s in slices]}
+        prof = d_upper(A)
+        out["doubling"] = {"K_mul": format_scalar(prof.K_mul),
+                           "d_upper": format_scalar(prof.d_upper),
+                           "witness_size": len(prof.witness_C)}
+    return out
+
+
+@given(values=st.sets(st.fractions(min_value=-6, max_value=6, max_denominator=4),
+                      min_size=1, max_size=6),
+       with_zero=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_stats_json_matches_the_public_functions(tmp_path_factory, values, with_zero):
+    A = FiniteSet(values | {Fraction(0)} if with_zero else values)
+    path = tmp_path_factory.getbasetemp() / "stats.txt"
+    path.write_text("\n".join(format_scalar(x) for x in A) + "\n")
+    code, out, err = run_captured(["stats", "--json", "--input", str(path)])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(public_stats(A), sort_keys=True, separators=(",", ":")) + "\n"

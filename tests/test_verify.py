@@ -1,9 +1,11 @@
 """Registry evaluation, the low-L slice construction and the trace steps."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumprod import (
     DomainError,
@@ -17,7 +19,7 @@ from sumprod import (
     solplus_trace,
     verify_suite,
 )
-from sumprod import verify
+from sumprod import d_upper, stats, verify
 from sumprod.verify import REGISTRY, SetContext
 from sumprod._approx import product_pow
 
@@ -209,3 +211,68 @@ def test_gen_sigma_reuses_the_context_doubling_bound(monkeypatch):
     assert calls == [POWERS4]
     evaluate("GEN-SIGMA", POWERS4, {"A1": A123}, ctx=ctx)
     assert calls == [POWERS4, A123]
+
+
+# -- one derivation per statistic -----------------------------------------
+
+signed_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@given(st.sets(signed_rationals, min_size=1, max_size=5), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_suite_context_matches_fresh_contexts(values, with_zero):
+    A = FiniteSet(values | {Fraction(0)} if with_zero else values)
+    expected = []
+    for rid in sorted(REGISTRY):
+        try:
+            expected.append(evaluate(rid, A))  # a fresh context per entry
+        except (DomainError, ResourceError) as exc:
+            expected.append((rid, str(exc)))
+    got = [r if r.error is None else (r.id, r.error) for r in verify_suite(A)]
+    assert got == expected
+
+
+S8 = FiniteSet([1, 2, 3, 4, 6, 8, 12, 16])  # LEMMA3 runs its cluster report
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts stats._pair_keys calls by op, and whether both sides were S8."""
+    calls = Counter()
+    pair_keys = stats._pair_keys
+
+    def counting(A, B, op):
+        calls[op, A == S8 and B == S8] += 1
+        return pair_keys(A, B, op)
+
+    monkeypatch.setattr(stats, "_pair_keys", counting)
+    return calls
+
+
+def test_context_runs_each_pair_product_once(kernel_calls, monkeypatch):
+    profile = d_upper(S8)  # counted on its own below
+    monkeypatch.setattr(verify, "d_upper", lambda A: profile)
+    kernel_calls.clear()
+    ctx = SetContext(S8)
+    for _ in range(2):
+        (ctx.nsum, ctx.nprod, ctx.nquot, ctx.K, ctx.Ep, ctx.Ex, ctx.L_quot, ctx.L_prod,
+         ctx.slices)
+        for rid in ("LEVELSET", "DA-LEVEL", "ENERGY-SUMSET", "CS-SUBS",
+                    "PROP-CRIT-P", "PROP-CRIT-Q"):
+            evaluate(rid, S8, ctx=ctx)
+    # the last two are E_x of AA and of A/A, once per evaluation
+    assert kernel_calls == {("add", True): 1, ("mul", True): 1, ("div", True): 1,
+                            ("mul", False): 4}
+
+
+def test_d_upper_counts_the_quotient_and_product_sets_once(kernel_calls):
+    d_upper(S8)
+    assert kernel_calls == {("div", True): 1, ("mul", True): 1, ("mul", False): 1}
+
+
+def test_verify_suite_kernel_calls(kernel_calls):
+    verify_suite(S8)
+    # the context (3), d_upper (A/A, AA, A·(A/A)), E_x of AA and of A/A, and
+    # the LEMMA3 cluster report's own spectrum and A+A
+    assert kernel_calls == {("add", True): 2, ("mul", True): 2, ("div", True): 3,
+                            ("mul", False): 3}
