@@ -75,13 +75,11 @@ def _cmd_stats(args) -> int:
         "energy_mul": None if zero else ctx.Ex,
     }
     if not zero:
-        # the nonempty slices partition the spectrum, largest fibers last
-        slices = [s for s in ctx.slices if s.sizes]
         out["spectrum"] = {
-            "lambdas": sum(len(s.sizes) for s in slices),
-            "max_fiber": max(slices[-1].sizes.values()),
-            "slices": [{"tau": format_scalar(Fraction(s.tau)), "count": len(s.sizes)}
-                       for s in slices],
+            "lambdas": ctx.nquot,
+            "max_fiber": int(ctx.kernel("div")[1].max()),
+            "slices": [{"tau": format_scalar(tau), "count": len(idx)}
+                       for tau, idx in ctx.slices if len(idx)],
         }
         prof = ctx.dhat
         out["doubling"] = {
@@ -152,12 +150,15 @@ def _cmd_explore(args) -> int:
         config["restarts"] = args.restarts
     corpus = args.corpus or os.environ.get("SUMPROD_CORPUS")
     if corpus:
-        # fail before the search, not after it
+        # fail before the search, not after it, and leave no new file behind
+        created = not os.path.exists(corpus)
         try:
             with open(corpus, "a", encoding="utf-8"):
                 pass
         except OSError as exc:
             raise _UsageError(f"cannot append to corpus {corpus}: {exc.strerror}") from exc
+        if created:
+            os.remove(corpus)
     record = explore_mod.search_extremal(args.ineq, args.n, args.mode, config)
     if corpus:
         explore_mod.corpus_store(record, corpus)

@@ -21,7 +21,7 @@ from .exactset import (
     Scalar,
     as_scalar,
 )
-from .stats import lambda_set, pair_counts, rep_counts, spectrum, sumset
+from .stats import _fibers, _ordered, _pair_keys, _window, pair_counts, rep_counts
 
 SIGMA_SIZE_LIMIT = 1_000_000
 SIGMA_PAIR_BUDGET = 5_000_000
@@ -284,12 +284,10 @@ class ClusterReport:
 
 def slice_slopes(A: FiniteSet, tau) -> dict:
     """Fibers of the dyadic window tau < |A_lambda| <= 2*tau, as a dict."""
-    tau = as_scalar(tau)
-    out = {}
-    for lam, size in spectrum(A):
-        if tau < size <= 2 * tau:
-            out[lam] = lambda_set(A, lam)
-    return out
+    if A.has_zero():
+        raise DomainError("spectrum requires 0 not in A")
+    quots = _pair_keys(A, A, "div")
+    return _fibers(A, quots, _window(quots[1], as_scalar(tau)))
 
 
 def cluster_sigma(fibers: dict, slopes, pair_budget: int = SIGMA_PAIR_BUDGET,
@@ -323,14 +321,24 @@ def solymosi_cluster_report(A: FiniteSet, tau, M: int,
     point fibers {(x, lambda*x) : x in A_lambda} over distinct slope pairs.
     All sums are verified to land in (A+A) x (A+A).
     """
+    return _cluster_report(lambda op: _pair_keys(A, A, op), A, tau, M, S_sub,
+                           pair_budget, triple_budget)
+
+
+def _cluster_report(kernel, A: FiniteSet, tau, M: int, S_sub: FiniteSet | None,
+                    pair_budget: int, triple_budget: int = 2_000) -> ClusterReport:
+    """`solymosi_cluster_report` with kernel(op) giving the 'div' and 'add'
+    pair-kernel results of A∘A, asked for only once the slopes pass their checks."""
     tau = as_scalar(tau)
     if A.has_zero() or not A.is_positive():
         raise DomainError("cluster construction requires positive elements")
     if M < 2:
         raise DomainError("cluster needs two slopes")
 
-    fibers = slice_slopes(A, tau)
-    window = FiniteSet(fibers) if fibers else None
+    quots = kernel("div")
+    idx = _window(quots[1], tau)
+    lams = _ordered(quots, idx)[0]
+    window = FiniteSet.from_sorted(lams) if lams else None
     if S_sub is not None:
         if window is None or not S_sub <= window:
             raise DomainError("S_sub is not contained in the slice window")
@@ -342,11 +350,13 @@ def solymosi_cluster_report(A: FiniteSet, tau, M: int,
     if M > len(slopes):
         raise DomainError("M exceeds the number of available slopes")
 
+    fibers = _fibers(A, quots, idx)
     sigma = cluster_sigma(fibers, slopes.elements, pair_budget=pair_budget,
                           triple_budget=triple_budget)
 
-    AplusA = sumset(A, A)
-    box = set(AplusA.elements)
+    sums = kernel("add")
+    # a sum s is in A+A when s * den is one of the add kernel's keys
+    nsum, den, box = len(sums[0]), sums[3], set(sums[0].tolist())
     ordered = list(slopes.elements)
     k = len(ordered) // M
     per_group: list[tuple[int, Fraction]] = []
@@ -361,10 +371,9 @@ def solymosi_cluster_report(A: FiniteSet, tau, M: int,
             # (A+A) x (A+A)
             for x in fibers[la]:
                 for y in fibers[lb]:
-                    p = (x / la + y / lb, x + y)
-                    pts.add(p)
-                    if p[0] not in box or p[1] not in box:
-                        in_box = False
+                    pts.add((x / la + y / lb, x + y))
+        in_box = in_box and all((c * den).denominator == 1 and (c * den).numerator in box
+                                for p in pts for c in p)
         rho = (tau**2 * comb(M, 2) - sigma * Fraction(M) ** 4
                if sigma is not None else None)
         per_group.append((len(pts), rho))
@@ -376,12 +385,12 @@ def solymosi_cluster_report(A: FiniteSet, tau, M: int,
         lemma_pass = None
     else:
         cond1 = 32 * sigma <= tau**2
-        cond2 = tau**4 <= Fraction(len(AplusA)) ** 2 * sigma
+        cond2 = tau**4 <= Fraction(nsum) ** 2 * sigma
         conditions = (cond1, cond2)
         if sigma > 0:
             lemma_rhs = tau**3 * len(slopes) / (128 * sqrt_frac(Fraction(sigma)))
             # exact: |A+A|^2 >= tau^3 |S'| / (128 sqrt(sigma))
-            lemma_pass = ((Fraction(len(AplusA)) ** 2 * 128) ** 2 * sigma
+            lemma_pass = ((Fraction(nsum) ** 2 * 128) ** 2 * sigma
                           >= (tau**3 * len(slopes)) ** 2)
         else:
             lemma_rhs = Fraction(0)

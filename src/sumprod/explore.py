@@ -220,6 +220,8 @@ def search_extremal(inequality_id: str, n: int, mode: str,
                      "n": n, "budget": budget,
                      "total_subsets": comb(len(ground), n)}
     elif mode == "hillclimb":
+        if budget < 0:
+            raise DomainError(f"hillclimb search needs budget >= 0, got {budget}")
         seed = int(config["seed"])
         restarts = int(config.get("restarts", 1))
         rng = random.Random(seed)

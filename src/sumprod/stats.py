@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import floor, gcd, lcm
 
 import numpy as np
 
@@ -34,7 +34,9 @@ _OUTER = {"add": np.add.outer, "sub": np.subtract.outer, "mul": np.multiply.oute
 
 
 def _counted(keys) -> tuple[np.ndarray, np.ndarray]:
-    """The Python-int path: the distinct keys and their counts."""
+    """The distinct keys and their counts: numpy for an int64 array, a Counter for Python ints."""
+    if isinstance(keys, np.ndarray):
+        return np.unique(keys, return_counts=True)
     counts = Counter(keys)
     return np.array(list(counts), dtype=object), np.array(list(counts.values()), dtype=object)
 
@@ -45,7 +47,8 @@ def _quotient_key(p: int, q: int, shift: int) -> int:
 
 
 def _quotient_keys(left, right):
-    """Keys of the quotients (u·v)/(w·z) over (u, w) in left, (v, z) in right."""
+    """Row-major keys of the quotients (u·v)/(w·z) over (u, w) in left, (v, z)
+    in right, and their shift: an int64 array, or Python ints past 2^31."""
     (u, w), (v, z) = left, right
     p_max = max(map(abs, u)) * max(map(abs, v))
     q_max = max(map(abs, w)) * max(map(abs, z))
@@ -53,18 +56,18 @@ def _quotient_keys(left, right):
         p = np.multiply.outer(np.array(u, np.int64), np.array(v, np.int64))
         q = np.multiply.outer(np.array(w, np.int64), np.array(z, np.int64))
         g = np.gcd(p, q) * np.sign(q)
-        return (*np.unique(((p // g) << 32) + q // g, return_counts=True), None, 32)
+        return (((p // g) << 32) + q // g).ravel(), 32
     shift = q_max.bit_length()
-    return (*_counted(_quotient_key(a * c, b * d, shift)
-                      for a, b in zip(u, w) for c, d in zip(v, z)), None, shift)
+    return (_quotient_key(a * c, b * d, shift) for a, b in zip(u, w) for c, d in zip(v, z)), shift
 
 
 def _pair_keys(A, B, op: str):
-    """(keys, counts, den, shift) of a∘b over A×B.
+    """(keys, counts, pairs, den, shift) of a∘b over A×B.
 
     With shift None the key k stands for k/den, so key order is value
     order; otherwise k packs the reduced quotient p/q, q > 0, as
-    p·2^shift + q.  The numpy path returns the keys sorted.
+    p·2^shift + q.  The numpy path returns the keys sorted.  For 'div',
+    pairs holds the key of every pair, row-major; it is None for the other ops.
     """
     if op not in ("add", "sub", "mul", "div"):
         raise DomainError(f"unknown mode {op!r}")
@@ -80,17 +83,21 @@ def _pair_keys(A, B, op: str):
         (x, _), (y, _) = scaled_integers(A, den), scaled_integers(B, den)
         if op == "div":
             # a quotient does not change when both sides are scaled alike
-            return _quotient_keys((x, [1] * len(x)), ([1] * len(y), y))
+            keys, shift = _quotient_keys((x, [1] * len(x)), ([1] * len(y), y))
+            pairs = keys if isinstance(keys, np.ndarray) else np.fromiter(keys, dtype=object)
+            keys, counts = np.unique(pairs, return_counts=True)
+            return keys, counts.astype(keys.dtype), pairs, None, shift
     if max(*map(abs, x), *map(abs, y), len(x) * len(y)) < _INT64_SAFE:
         keys = _OUTER[op](np.array(x, np.int64), np.array(y, np.int64))
-        return (*np.unique(keys, return_counts=True), den, None)
+        return (*np.unique(keys, return_counts=True), None, den, None)
     if op == "mul" and den > 1:
         # A large common denominator (that of A/A, say) blows the scaled
         # integers up; key on the reduced products of the element pairs.
-        return _quotient_keys(([a.numerator for a in A], [a.denominator for a in A]),
-                              ([b.numerator for b in B], [b.denominator for b in B]))
+        keys, shift = _quotient_keys(([a.numerator for a in A], [a.denominator for a in A]),
+                                     ([b.numerator for b in B], [b.denominator for b in B]))
+        return (*_counted(keys), None, None, shift)
     combine = getattr(operator, op)
-    return (*_counted(combine(a, b) for a in x for b in y), den, None)
+    return (*_counted(combine(a, b) for a in x for b in y), None, den, None)
 
 
 def pair_counts(A: FiniteSet, B: FiniteSet, op: str) -> tuple[np.ndarray, np.ndarray]:
@@ -101,22 +108,25 @@ def pair_counts(A: FiniteSet, B: FiniteSet, op: str) -> tuple[np.ndarray, np.nda
     and the energy is sum(counts²).  Both arrays are int64 on the numpy path
     and of Python ints otherwise.
     """
-    keys, counts, _, _ = _pair_keys(A, B, op)
-    return keys, counts
+    return _pair_keys(A, B, op)[:2]
 
 
-def _ordered(result) -> tuple[list[Fraction], list[int]]:
-    """The distinct values of a `_pair_keys` result in increasing order, with their counts."""
-    keys, counts, den, shift = result
-    pairs = zip(keys.tolist(), counts.tolist())
+def _ordered(result, idx=None) -> tuple[list[Fraction], list[int], list[int]]:
+    """The distinct values of a `_pair_keys` result, or of its keys at the
+    indices idx, in increasing order, with their counts and key indices."""
+    keys, counts, _, den, shift = result
+    idx = np.arange(len(keys)) if idx is None else idx
+    triples = zip(keys[idx].tolist(), counts[idx].tolist(), idx.tolist())
     if shift is None:
-        pairs = sorted(pairs)
-        return [Fraction(k, den) for k, _ in pairs], [c for _, c in pairs]
-    mask = (1 << shift) - 1
-    # distinct p/q with q < 2^shift differ by more than 2^(-2 shift), so
-    # floor(p 2^(2 shift) / q) orders them
-    pairs = sorted(pairs, key=lambda kc: ((kc[0] >> shift) << 2 * shift) // (kc[0] & mask))
-    return [Fraction(k >> shift, k & mask) for k, _ in pairs], [c for _, c in pairs]
+        triples = sorted(triples)
+        values = [Fraction(k, den) for k, _, _ in triples]
+    else:
+        mask = (1 << shift) - 1
+        # distinct p/q with q < 2^shift differ by more than 2^(-2 shift), so
+        # floor(p 2^(2 shift) / q) orders them
+        triples = sorted(triples, key=lambda t: ((t[0] >> shift) << 2 * shift) // (t[0] & mask))
+        values = [Fraction(k >> shift, k & mask) for k, _, _ in triples]
+    return values, [c for _, c, _ in triples], [i for _, _, i in triples]
 
 
 # -- pairwise operation sets ----------------------------------------------
@@ -146,7 +156,7 @@ def rep_counts(A: FiniteSet, B: FiniteSet, mode: str) -> Counter:
 
     mode 'div' skips pairs with b = 0 (mirrors the b != 0 in A/B).
     """
-    return Counter(dict(zip(*_ordered(_pair_keys(A, B, mode)))))
+    return Counter(dict(zip(*_ordered(_pair_keys(A, B, mode))[:2])))
 
 
 def energy(A: FiniteSet, B: FiniteSet | None = None, mode: str = "add") -> int:
@@ -200,6 +210,28 @@ def lambda_set(A: FiniteSet, lam) -> FiniteSet | None:
     return A.intersect(dilate(A, lam))
 
 
+def _fibers(A: FiniteSet, quots, idx=None) -> dict:
+    """lambda -> A_lambda = A ∩ lambda*A for the keys of A/A's kernel result at
+    the indices idx (or all), in increasing order of lambda.
+
+    A_lambda holds the a_i with a_i/a_j = lambda, the rows of lambda's pairs;
+    one pass over the pairs in row order gathers them, ascending.
+    """
+    n, pairs, rows = len(A), quots[2].tolist(), {}
+    for i, a in enumerate(A.elements):
+        for key in pairs[i * n:(i + 1) * n]:
+            rows.setdefault(key, []).append(a)
+    keys = quots[0].tolist()
+    lams, _, idx = _ordered(quots, idx)
+    return {lam: FiniteSet.from_sorted(rows[keys[k]]) for lam, k in zip(lams, idx)}
+
+
+def _window(counts, tau) -> np.ndarray:
+    """Indices of the fiber sizes c with tau < c <= 2*tau."""
+    idx = np.flatnonzero(counts > floor(tau))
+    return idx[counts[idx] <= floor(2 * tau)]
+
+
 def spectrum(A: FiniteSet) -> list[tuple[Scalar, int]]:
     """All (lambda, |A_lambda|) for lambda in A/A, sorted by lambda.
 
@@ -209,7 +241,7 @@ def spectrum(A: FiniteSet) -> list[tuple[Scalar, int]]:
     """
     if A.has_zero():
         raise DomainError("spectrum requires 0 not in A")
-    return list(zip(*_ordered(_pair_keys(A, A, "div"))))
+    return list(zip(*_ordered(_pair_keys(A, A, "div"))[:2]))
 
 
 @dataclass(frozen=True)
@@ -228,21 +260,19 @@ def dyadic_slices(A: FiniteSet) -> list[SpectrumSlice]:
     (1/2, 1] captures the size-1 fibers.  Empty slices are kept so slice
     indices line up with j.
     """
-    return _dyadic(len(A), spectrum(A))
-
-
-def _dyadic(n: int, spec) -> list[SpectrumSlice]:
-    """The dyadic slices of the spectrum pairs (lambda, |A_lambda|) of an n-element set."""
-    buckets: list[dict] = [{} for _ in range((n - 1).bit_length() + 1)]
-    for lam, size in spec:
-        j = 0 if size == 1 else (size - 1).bit_length()
-        buckets[j][lam] = size
+    spec = spectrum(A)
     out = []
-    for j, sizes in enumerate(buckets):
-        tau = Fraction(1, 2) * 2**j
+    for tau, idx in _dyadic(len(A), np.array([size for _, size in spec])):
+        sizes = dict(spec[i] for i in idx)
         lambdas = FiniteSet.from_sorted(list(sizes)) if sizes else None
         out.append(SpectrumSlice(tau=tau, lambdas=lambdas, sizes=sizes))
     return out
+
+
+def _dyadic(n: int, counts) -> list[tuple[Fraction, np.ndarray]]:
+    """(tau, `_window` indices) of the dyadic slices of an n-element set's fiber sizes."""
+    return [(tau, _window(counts, tau))
+            for tau in (Fraction(1, 2) * 2**j for j in range((n - 1).bit_length() + 1))]
 
 
 # -- doubling functional ---------------------------------------------------

@@ -14,10 +14,11 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import ceil
 
 from . import stats
 from ._approx import log2_frac, product_pow
-from .counting import sigma_count, solymosi_cluster_report
+from .counting import _cluster_report, sigma_count
 from .exactset import (
     DomainError,
     FiniteSet,
@@ -29,7 +30,6 @@ from .stats import (
     DoublingProfile,
     d_upper,
     energy,
-    lambda_set,
     pair_counts,
     productset,
     quotientset,
@@ -134,10 +134,10 @@ class SetContext:
 
     @cached_property
     def slices(self) -> list:
-        """`dyadic_slices(A)`, from the context's A/A."""
+        """The (tau, key indices) of `dyadic_slices(A)`, from the context's A/A."""
         if self.A.has_zero():
             raise DomainError("spectrum requires 0 not in A")
-        return stats._dyadic(self.n, zip(*stats._ordered(self.kernel("div"))))
+        return stats._dyadic(self.n, self.kernel("div")[1])
 
     @cached_property
     def dhat(self) -> DoublingProfile:
@@ -263,7 +263,8 @@ def _levelset(ctx, params):
     if tau < 1:
         raise DomainError("LEVELSET requires tau >= 1")
     counts = ctx.counts(ctx.A, B, "div")
-    lhs = Fraction(sum(1 for c in counts.tolist() if c >= tau))
+    level = ceil(tau)  # integer counts against an integer level
+    lhs = Fraction(sum(1 for c in counts.tolist() if c >= level))
     nsumB = len(ctx.counts(B, B, "add"))
     rhs = Fraction(ctx.nsum * nsumB) / tau**2
     return InequalityReport(id="LEVELSET", lhs=lhs, rhs=rhs,
@@ -293,7 +294,8 @@ def _da_level(ctx, params):
     if tau < 1:
         raise DomainError("DA-LEVEL requires tau >= 1")
     counts = ctx.counts(ctx.A, B, "add")
-    lhs = Fraction(sum(1 for c in counts.tolist() if c >= tau))
+    level = ceil(tau)  # integer counts against an integer level
+    lhs = Fraction(sum(1 for c in counts.tolist() if c >= level))
     rhs = ctx.dhat.d_upper * ctx.n * Fraction(len(B)) ** 2 / tau**3
     return InequalityReport(id="DA-LEVEL", lhs=lhs, rhs=rhs, ratio=lhs / rhs,
                             explicit=False, passed=None, inputs=_digest(ctx.A))
@@ -381,12 +383,9 @@ def _lemma3(ctx, params):
         chosen = _choose_slice(ctx)[2]
         if chosen is None:
             raise DomainError("LEMMA3: no qualifying dyadic slice")
-        tau = chosen.tau
-    M = params.get("M", 2)
-    S_sub = params.get("S_sub")
-    pair_budget = params.get("pair_budget", 200_000)
-    cluster = solymosi_cluster_report(ctx.A, tau, M, S_sub=S_sub,
-                                      pair_budget=pair_budget)
+        tau = chosen[0]
+    cluster = _cluster_report(ctx.kernel, ctx.A, tau, params.get("M", 2), params.get("S_sub"),
+                              params.get("pair_budget", 200_000))
     lhs = Fraction(ctx.nsum) ** 2
     both = all(cluster.conditions_ok)
     rhs = cluster.lemma_rhs if (both and cluster.lemma_rhs is not None) else Fraction(0)
@@ -478,11 +477,11 @@ class SmallLReport:
 
 
 def _choose_slice(ctx: SetContext):
-    """The threshold E×(A)/(2|A|^2), the nonempty dyadic slices at or above
-    it, and the one of maximal |S_tau| tau^2 (then tau) among them, or None."""
+    """The threshold E×(A)/(2|A|^2), the nonempty slices (tau, key indices) at or
+    above it, and the one of maximal |S_tau| tau^2 (then tau) among them, or None."""
     threshold = Fraction(ctx.Ex, 2 * ctx.n**2)
-    qualifying = [s for s in ctx.slices if s.sizes and s.tau >= threshold]
-    chosen = max(qualifying, key=lambda s: (len(s.sizes) * s.tau**2, s.tau), default=None)
+    qualifying = [(tau, idx) for tau, idx in ctx.slices if len(idx) and tau >= threshold]
+    chosen = max(qualifying, key=lambda s: (len(s[1]) * s[0]**2, s[0]), default=None)
     return threshold, qualifying, chosen
 
 
@@ -501,8 +500,8 @@ def _smallL(ctx: SetContext) -> SmallLReport:
     diagnostics = {
         "threshold": threshold,
         "energy_mul": ctx.Ex,
-        "slice_mass_all": sum(len(s.sizes) * s.tau**2 for s in ctx.slices),
-        "slice_mass_qualifying": sum(len(s.sizes) * s.tau**2 for s in qualifying),
+        "slice_mass_all": sum(len(idx) * tau**2 for tau, idx in ctx.slices),
+        "slice_mass_qualifying": sum(len(idx) * tau**2 for tau, idx in qualifying),
         "n_slices": len(ctx.slices),
     }
     if chosen is None:
@@ -512,10 +511,10 @@ def _smallL(ctx: SetContext) -> SmallLReport:
                             min_quotient_ratio=None, min_product_ratio=None,
                             diagnostics=diagnostics)
 
-    tau = chosen.tau
-    S_tau = chosen.lambdas
-    fibers = {lam: lambda_set(ctx.A, lam) for lam in S_tau}
-    fiber_energy = {lam: energy(fibers[lam], mode="add") for lam in S_tau}
+    tau, idx = chosen
+    fibers = stats._fibers(ctx.A, ctx.kernel("div"), idx)
+    S_tau = FiniteSet.from_sorted(list(fibers))
+    fiber_energy = {lam: energy(fiber, mode="add") for lam, fiber in fibers.items()}
 
     if len(S_tau) == 1:
         S_prime = S_dprime = S_tau
@@ -548,17 +547,15 @@ def katz_koester_check(A: FiniteSet) -> list[tuple[Scalar, str, Scalar]]:
     """
     if A.has_zero():
         raise DomainError("inclusion check requires 0 not in A")
-    Pi = set(quotientset(A, A).elements)
+    fibers = stats._fibers(A, stats._pair_keys(A, A, "div"))
+    Pi = set(fibers)
     PiP = set(productset(A, A).elements)
     violations = []
-    for lam in sorted(Pi):
-        fiber = lambda_set(A, lam)
-        if fiber is None:
-            continue
-        for q in quotientset(fiber, fiber):
+    for lam, fiber in fibers.items():
+        for q in sorted({x / y for x in fiber for y in fiber}):
             if q not in Pi or q / lam not in Pi:
                 violations.append((lam, "quot", q))
-        for p in productset(fiber, fiber):
+        for p in sorted({x * y for x in fiber for y in fiber}):
             if p not in PiP or p / lam not in PiP:
                 violations.append((lam, "prod", p))
     return violations

@@ -163,6 +163,27 @@ def test_explore_zero_budget_exit_1(capsys, monkeypatch):
     assert err == "invalid input: exhaustive search needs budget >= 1, got 0\n"
 
 
+def test_explore_negative_hillclimb_budget_exit_1(capsys):
+    code, out, err = run(capsys, "explore", "--ineq", "SOLY-PROD", "--n", "3", "--mode",
+                         "hillclimb", "--seed", "1", "--budget", "-5", "--json")
+    assert code == 1 and out == ""
+    assert err == "invalid input: hillclimb search needs budget >= 0, got -5\n"
+
+
+@pytest.mark.parametrize("before", [None, b"", b'{"kept": "as is"}\n'])
+def test_refused_search_leaves_the_corpus_as_it_was(before, tmp_path, capsys):
+    corpus = tmp_path / "new.jsonl"
+    if before is not None:
+        corpus.write_bytes(before)
+    code, out, err = run(capsys, "explore", "--ineq", "SOLY-PROD", "--n", "3",
+                         "--budget", "0", "--corpus", str(corpus))
+    assert code == 1 and out == "" and err.startswith("invalid input:")
+    if before is None:
+        assert not corpus.exists()
+    else:
+        assert corpus.read_bytes() == before
+
+
 def test_oracle_negative_samples_exit_1(three, capsys):
     code, out, err = run(capsys, "oracle", "--input", three,
                          "--op", "sigma-max-sample", "--samples", "-3")

@@ -332,6 +332,18 @@ def test_cluster_subset_must_lie_in_window():
         solymosi_cluster_report(DIVISOR_RICH, 2, 2, S_sub=FiniteSet([77]))
 
 
+def test_cluster_box_check_sees_a_wrong_fiber_element(monkeypatch):
+    assert solymosi_cluster_report(DIVISOR_RICH, 2, 2).sums_in_box
+    fibers = counting._fibers
+
+    def grouping(A, quots, idx=None):
+        # 36000 is in no fiber; its sums are integers past max(A+A) = 72
+        return {lam: f.union(FiniteSet([36000])) for lam, f in fibers(A, quots, idx).items()}
+
+    monkeypatch.setattr(counting, "_fibers", grouping)
+    assert not solymosi_cluster_report(DIVISOR_RICH, 2, 2).sums_in_box
+
+
 def test_cluster_sigma_small_window():
     fibers = slice_slopes(DIVISOR_RICH, 2)
     assert len(fibers) >= 3

@@ -19,6 +19,7 @@ from sumprod import (
     mutate,
     search_extremal,
 )
+from sumprod import explore
 
 
 def test_ap_gp_generators():
@@ -143,6 +144,16 @@ def test_hillclimb_zero_budget_returns_seed_set():
     rng = random.Random(11)
     expected = FiniteSet(rng.sample(FiniteSet(range(1, 9)).elements, 3))
     assert rec.set == expected
+
+
+def test_hillclimb_negative_budget_is_refused(monkeypatch):
+    def ratio_of(*args):
+        raise AssertionError("a set was evaluated before the budget check")
+
+    monkeypatch.setattr(explore, "_ratio_of", ratio_of)
+    cfg = {"ground": FiniteSet(range(1, 9)), "budget": -5, "seed": 11}
+    with pytest.raises(DomainError, match=r"hillclimb search needs budget >= 0, got -5"):
+        search_extremal("SOLY-PROD", 3, "hillclimb", cfg)
 
 
 def test_corpus_round_trip(tmp_path):

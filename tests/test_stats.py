@@ -24,8 +24,11 @@ from sumprod import (
     quotientset,
     rep_counts,
     spectrum,
+    stats,
     sumset,
 )
+from sumprod.counting import slice_slopes
+from sumprod.verify import SetContext
 
 A123 = FiniteSet([1, 2, 3])
 
@@ -251,3 +254,53 @@ def test_close_quotients_come_out_in_order(k):
     # 2^k/(2^k - 1) and (2^k + 1)/2^k differ by 1/(2^k (2^k - 1)), far less
     # than one over the largest denominator a quotient key can hold
     check_kernel(FiniteSet([2**k, 2**k + 1]), FiniteSet([2**k - 1, 2**k]))
+
+
+# -- fibers from the quotient kernel ---------------------------------------
+
+def check_fibers(A):
+    """Every kernel fiber, the slice sizes and the slice slopes of A against
+    `lambda_set` on a Fraction enumeration of A/A."""
+    oracle = {lam: lambda_set(A, lam) for lam in sorted({a / b for a in A for b in A})}
+    quots = stats._pair_keys(A, A, "div")
+    assert list(stats._fibers(A, quots).items()) == list(oracle.items())
+    assert sorted(quots[1].tolist()) == sorted(len(f) for f in oracle.values())
+    assert spectrum(A) == [(lam, len(f)) for lam, f in oracle.items()]
+    slices, ctx_slices = dyadic_slices(A), SetContext(A).slices
+    assert len(slices) == len(ctx_slices) == (len(A) - 1).bit_length() + 1
+    for j, (s, (tau, window)) in enumerate(zip(slices, ctx_slices)):
+        expected = {lam: len(f) for lam, f in oracle.items() if 2**j < 2 * len(f) <= 2**(j + 1)}
+        assert s.tau == tau == Fraction(2**j, 2)
+        assert list(s.sizes.items()) == list(expected.items()) and len(window) == len(expected)
+        assert s.lambdas == (FiniteSet(expected) if expected else None)
+    for tau in (0, Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(7, 3), 4, len(A)):
+        expected = [(lam, f) for lam, f in oracle.items() if tau < len(f) <= 2 * tau]
+        assert list(slice_slopes(A, tau).items()) == expected
+
+
+nonzero_rationals = signed_rationals.filter(bool)
+# random sets, and unions with a dilated progression for larger fibers
+fiber_sets = st.one_of(
+    st.sets(nonzero_rationals, min_size=1, max_size=7).map(FiniteSet),
+    st.builds(lambda extra, c, r, k: FiniteSet(extra | {c * r**i for i in range(k)}),
+              st.sets(nonzero_rationals, max_size=3), nonzero_rationals,
+              st.sampled_from([2, -3, Fraction(1, 2), Fraction(-3, 2)]), st.integers(1, 6)))
+
+
+@given(fiber_sets)
+@settings(max_examples=100, deadline=None)
+def test_kernel_fibers_match_lambda_set(A):
+    check_fibers(A)
+
+
+@pytest.mark.parametrize("top, path", [(2**31 - 1, np.int64), (2**31, object)])
+@given(values=st.sets(st.one_of(st.integers(-40, 40).filter(bool),
+                                st.sampled_from([2**30, 2**29 - 1, -(2**28), 3 * 2**27])),
+                      max_size=6))
+@settings(max_examples=25, deadline=None)
+def test_kernel_fibers_at_the_int64_boundary(top, path, values):
+    # the largest element decides between the int64 and the Python-int path
+    A = FiniteSet(values | {top})
+    keys, counts, pairs, _, _ = stats._pair_keys(A, A, "div")
+    assert keys.dtype == pairs.dtype == counts.dtype == path and len(pairs) == len(A) ** 2
+    check_fibers(A)

@@ -19,7 +19,7 @@ from sumprod import (
     solplus_trace,
     verify_suite,
 )
-from sumprod import d_upper, stats, verify
+from sumprod import counting, d_upper, stats, verify
 from sumprod.verify import REGISTRY, SetContext
 from sumprod._approx import product_pow
 
@@ -52,6 +52,15 @@ def test_levelset_fixture():
     r = evaluate("LEVELSET", A123, {"tau": 2})
     assert (r.lhs, r.rhs, r.ratio) == (1, Fraction(25, 4), Fraction(4, 25))
     assert r.passed is None and not r.explicit
+
+
+@pytest.mark.parametrize("tau", [1, Fraction(3, 2), 2, Fraction(5, 2), 10**20])
+def test_level_counts_at_rational_tau(tau):
+    A = FiniteSet([1, 2, 3, 4, 6, 8, 12])
+    quotients = Counter(a / b for a in A for b in A)
+    sums = Counter(a + b for a in A for b in A)
+    assert evaluate("LEVELSET", A, {"tau": tau}).lhs == sum(c >= tau for c in quotients.values())
+    assert evaluate("DA-LEVEL", A, {"tau": tau}).lhs == sum(c >= tau for c in sums.values())
 
 
 def test_main_a_gp16():
@@ -158,6 +167,22 @@ def test_katz_koester_clean_sets():
     assert katz_koester_check(POWERS4) == []
     assert katz_koester_check(FiniteSet([1])) == []
     assert katz_koester_check(FiniteSet([Fraction(1, 2), 3, 7])) == []
+
+
+def test_katz_koester_reports_a_wrong_fiber_element(monkeypatch):
+    A = FiniteSet(range(1, 9))
+    assert katz_koester_check(A) == []
+    fibers = stats._fibers
+
+    def grouping(A, quots, idx=None):
+        # A_2 = {2, 4, 6, 8}; 3 is not in it
+        return {lam: f.union(FiniteSet([3])) if lam == 2 else f
+                for lam, f in fibers(A, quots, idx).items()}
+
+    monkeypatch.setattr(stats, "_fibers", grouping)
+    violations = katz_koester_check(A)
+    assert (2, "quot", Fraction(3, 8)) in violations and (2, "prod", 9) in violations
+    assert {lam for lam, _, _ in violations} == {2}
 
 
 def test_katz_koester_rejects_zero():
@@ -272,7 +297,20 @@ def test_d_upper_counts_the_quotient_and_product_sets_once(kernel_calls):
 
 def test_verify_suite_kernel_calls(kernel_calls):
     verify_suite(S8)
-    # the context (3), d_upper (A/A, AA, A·(A/A)), E_x of AA and of A/A, and
-    # the LEMMA3 cluster report's own spectrum and A+A
-    assert kernel_calls == {("add", True): 2, ("mul", True): 2, ("div", True): 3,
+    # the context (3), d_upper (A/A, AA, A·(A/A)) and E_x of AA and of A/A;
+    # the LEMMA3 cluster report reads its fibers and A+A from the context
+    assert kernel_calls == {("add", True): 1, ("mul", True): 2, ("div", True): 2,
                             ("mul", False): 3}
+
+
+def test_lemma3_checks_M_before_any_cluster_work(kernel_calls, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("cluster work ran before the M check")
+
+    for module, name in ((counting, "sigma_max"), (counting, "_fibers"),
+                         (stats, "sumset"), (stats, "lambda_set")):
+        monkeypatch.setattr(module, name, fail)
+    with pytest.raises(DomainError, match="M exceeds the number of available slopes"):
+        evaluate("LEMMA3", S8, {"M": 50})
+    # E_x for the slice choice and A/A for the window; A+A is not counted
+    assert kernel_calls == {("mul", True): 1, ("div", True): 1}
