@@ -31,7 +31,7 @@ from .exactset import (
     format_scalar,
     load_set_file,
 )
-from .stats import energy_by_quadruples
+from .stats import SetContext, energy_by_quadruples
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,7 +64,7 @@ def _human(x: Fraction) -> str:
 # -- stats -----------------------------------------------------------------
 
 def _cmd_stats(args) -> int:
-    ctx = verify_mod.SetContext(load_set_file(args.input))
+    ctx = SetContext(load_set_file(args.input))
     zero = ctx.A.has_zero()
     out = {
         "n": ctx.n,
@@ -77,9 +77,9 @@ def _cmd_stats(args) -> int:
     if not zero:
         out["spectrum"] = {
             "lambdas": ctx.nquot,
-            "max_fiber": int(ctx.kernel("div")[1].max()),
-            "slices": [{"tau": format_scalar(tau), "count": len(idx)}
-                       for tau, idx in ctx.slices if len(idx)],
+            "max_fiber": ctx.max_fiber,
+            "slices": [{"tau": format_scalar(tau), "count": count}
+                       for tau, count in ctx.slices if count],
         }
         prof = ctx.dhat
         out["doubling"] = {
@@ -179,7 +179,7 @@ def _cmd_oracle(args) -> int:
     A = load_set_file(args.input)
     results = {}
     if args.op == "energy-brute":
-        ctx = verify_mod.SetContext(A)
+        ctx = SetContext(A)
         modes = ["add"] if A.has_zero() else ["add", "mul"]
         for mode in modes:
             fast = ctx.Ep if mode == "add" else ctx.Ex

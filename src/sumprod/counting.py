@@ -20,8 +20,9 @@ from .exactset import (
     ResourceError,
     Scalar,
     as_scalar,
+    scaled_integers,
 )
-from .stats import _fibers, _ordered, _pair_keys, _window, pair_counts, rep_counts
+from .stats import SetContext
 
 SIGMA_SIZE_LIMIT = 1_000_000
 SIGMA_PAIR_BUDGET = 5_000_000
@@ -95,8 +96,7 @@ def sigma_max(A1: FiniteSet, A2: FiniteSet, A3: FiniteSet,
         raise ResourceError(f"sigma_max input too large: {size}")
 
     m = lcm(*(x.denominator for S in (A1, A2, A3) for x in S))
-    s1, s2, s3 = ([x.numerator * (m // x.denominator) for x in S]
-                  for S in (A1, A2, A3))
+    s1, s2, s3 = (scaled_integers(S, m)[0] for S in (A1, A2, A3))
     lines: Counter = Counter()
     base = 0
     for x1 in s1:
@@ -156,9 +156,8 @@ def _canonical_points(points) -> set[tuple[Fraction, Fraction]]:
 
 def _scaled_point_ints(pts) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The points times their joint denominator, in lexicographic order."""
-    m = lcm(*(c.denominator for p in pts for c in p))
-    return tuple(zip(*sorted((x.numerator * (m // x.denominator),
-                              y.numerator * (m // y.denominator)) for x, y in pts)))
+    ints, _ = scaled_integers([c for p in pts for c in p])
+    return tuple(zip(*sorted(zip(ints[0::2], ints[1::2]))))
 
 
 _GRID_INT64_SAFE = 1 << 30
@@ -284,10 +283,7 @@ class ClusterReport:
 
 def slice_slopes(A: FiniteSet, tau) -> dict:
     """Fibers of the dyadic window tau < |A_lambda| <= 2*tau, as a dict."""
-    if A.has_zero():
-        raise DomainError("spectrum requires 0 not in A")
-    quots = _pair_keys(A, A, "div")
-    return _fibers(A, quots, _window(quots[1], as_scalar(tau)))
+    return SetContext(A).fibers(as_scalar(tau))
 
 
 def cluster_sigma(fibers: dict, slopes, pair_budget: int = SIGMA_PAIR_BUDGET,
@@ -321,23 +317,20 @@ def solymosi_cluster_report(A: FiniteSet, tau, M: int,
     point fibers {(x, lambda*x) : x in A_lambda} over distinct slope pairs.
     All sums are verified to land in (A+A) x (A+A).
     """
-    return _cluster_report(lambda op: _pair_keys(A, A, op), A, tau, M, S_sub,
-                           pair_budget, triple_budget)
+    return _cluster_report(SetContext(A), tau, M, S_sub, pair_budget, triple_budget)
 
 
-def _cluster_report(kernel, A: FiniteSet, tau, M: int, S_sub: FiniteSet | None,
+def _cluster_report(ctx: SetContext, tau, M: int, S_sub: FiniteSet | None,
                     pair_budget: int, triple_budget: int = 2_000) -> ClusterReport:
-    """`solymosi_cluster_report` with kernel(op) giving the 'div' and 'add'
-    pair-kernel results of A∘A, asked for only once the slopes pass their checks."""
-    tau = as_scalar(tau)
+    """`solymosi_cluster_report` on the context's A, reading the fibers and A+A
+    from it only once the slopes pass their checks."""
+    tau, A = as_scalar(tau), ctx.A
     if A.has_zero() or not A.is_positive():
         raise DomainError("cluster construction requires positive elements")
     if M < 2:
         raise DomainError("cluster needs two slopes")
 
-    quots = kernel("div")
-    idx = _window(quots[1], tau)
-    lams = _ordered(quots, idx)[0]
+    lams = list(ctx.fiber_sizes(tau))
     window = FiniteSet.from_sorted(lams) if lams else None
     if S_sub is not None:
         if window is None or not S_sub <= window:
@@ -350,13 +343,11 @@ def _cluster_report(kernel, A: FiniteSet, tau, M: int, S_sub: FiniteSet | None,
     if M > len(slopes):
         raise DomainError("M exceeds the number of available slopes")
 
-    fibers = _fibers(A, quots, idx)
+    fibers = ctx.fibers(tau)
     sigma = cluster_sigma(fibers, slopes.elements, pair_budget=pair_budget,
                           triple_budget=triple_budget)
 
-    sums = kernel("add")
-    # a sum s is in A+A when s * den is one of the add kernel's keys
-    nsum, den, box = len(sums[0]), sums[3], set(sums[0].tolist())
+    nsum, box = ctx.nsum, ctx.rep_counts("add")
     ordered = list(slopes.elements)
     k = len(ordered) // M
     per_group: list[tuple[int, Fraction]] = []
@@ -372,8 +363,7 @@ def _cluster_report(kernel, A: FiniteSet, tau, M: int, S_sub: FiniteSet | None,
             for x in fibers[la]:
                 for y in fibers[lb]:
                     pts.add((x / la + y / lb, x + y))
-        in_box = in_box and all((c * den).denominator == 1 and (c * den).numerator in box
-                                for p in pts for c in p)
+        in_box = in_box and all(c in box for p in pts for c in p)
         rho = (tau**2 * comb(M, 2) - sigma * Fraction(M) ** 4
                if sigma is not None else None)
         per_group.append((len(pts), rho))
@@ -431,15 +421,14 @@ def er_chain(A: FiniteSet, triples_limit: int = TRIPLES_POINT_LIMIT) -> ErChain:
     if A.has_zero() or not A.is_positive():
         raise DomainError("chain requires positive elements")
 
-    n = len(A)
-    N = rep_counts(A, A, "add")
-    Ep = sum(c * c for c in N.values())
+    ctx = SetContext(A)
+    n, N, Ep = ctx.n, ctx.rep_counts("add"), ctx.Ep
     threshold = Fraction(Ep, 2 * n * n)
     F = FiniteSet(x for x, c in N.items() if c > threshold)
     U = sum(N[x] for x in F)
     sumsq_F = sum(N[x] ** 2 for x in F)
 
-    m = min(len(pair_counts(A, A, "mul")[0]), len(pair_counts(A, A, "div")[0]))
+    m = min(ctx.nprod, ctx.nquot)
 
     X = A.union(F)
     T = None

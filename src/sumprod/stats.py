@@ -10,6 +10,8 @@ keys each pair a∘b by an integer (scaled sums, differences and products,
 or a reduced quotient packed into one integer) and counts the keys with
 numpy int64 when that is safe, with a Python-int Counter otherwise.
 Fractions are built only for the distinct values a caller gets back.
+`SetContext` holds the A+A, AA and A/A kernel results of one set and is
+the only reader of their format; every per-set statistic reads one.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import floor, gcd, lcm
 
 import numpy as np
 
+from ._approx import log2_frac
 from .exactset import (DomainError, FiniteSet, ResourceError, Scalar, as_scalar, dilate,
                        scaled_integers)
 
@@ -31,6 +35,7 @@ from .exactset import (DomainError, FiniteSet, ResourceError, Scalar, as_scalar,
 # quotient below 2^63, and the sum of squared counts below 2^62.
 _INT64_SAFE = 1 << 31
 _OUTER = {"add": np.add.outer, "sub": np.subtract.outer, "mul": np.multiply.outer}
+_D_UPPER_PAIR_BUDGET = 4_000_000
 
 
 def _counted(keys) -> tuple[np.ndarray, np.ndarray]:
@@ -210,28 +215,6 @@ def lambda_set(A: FiniteSet, lam) -> FiniteSet | None:
     return A.intersect(dilate(A, lam))
 
 
-def _fibers(A: FiniteSet, quots, idx=None) -> dict:
-    """lambda -> A_lambda = A ∩ lambda*A for the keys of A/A's kernel result at
-    the indices idx (or all), in increasing order of lambda.
-
-    A_lambda holds the a_i with a_i/a_j = lambda, the rows of lambda's pairs;
-    one pass over the pairs in row order gathers them, ascending.
-    """
-    n, pairs, rows = len(A), quots[2].tolist(), {}
-    for i, a in enumerate(A.elements):
-        for key in pairs[i * n:(i + 1) * n]:
-            rows.setdefault(key, []).append(a)
-    keys = quots[0].tolist()
-    lams, _, idx = _ordered(quots, idx)
-    return {lam: FiniteSet.from_sorted(rows[keys[k]]) for lam, k in zip(lams, idx)}
-
-
-def _window(counts, tau) -> np.ndarray:
-    """Indices of the fiber sizes c with tau < c <= 2*tau."""
-    idx = np.flatnonzero(counts > floor(tau))
-    return idx[counts[idx] <= floor(2 * tau)]
-
-
 def spectrum(A: FiniteSet) -> list[tuple[Scalar, int]]:
     """All (lambda, |A_lambda|) for lambda in A/A, sorted by lambda.
 
@@ -239,9 +222,7 @@ def spectrum(A: FiniteSet) -> list[tuple[Scalar, int]]:
     whole spectrum is one pass over |A|^2 quotients.  The sizes satisfy
     sum = |A|^2 and sum of squares = multiplicative energy.
     """
-    if A.has_zero():
-        raise DomainError("spectrum requires 0 not in A")
-    return list(zip(*_ordered(_pair_keys(A, A, "div"))[:2]))
+    return list(SetContext(A).fiber_sizes().items())
 
 
 @dataclass(frozen=True)
@@ -260,19 +241,12 @@ def dyadic_slices(A: FiniteSet) -> list[SpectrumSlice]:
     (1/2, 1] captures the size-1 fibers.  Empty slices are kept so slice
     indices line up with j.
     """
-    spec = spectrum(A)
-    out = []
-    for tau, idx in _dyadic(len(A), np.array([size for _, size in spec])):
-        sizes = dict(spec[i] for i in idx)
+    ctx, out = SetContext(A), []
+    for tau, _ in ctx.slices:
+        sizes = ctx.fiber_sizes(tau)
         lambdas = FiniteSet.from_sorted(list(sizes)) if sizes else None
         out.append(SpectrumSlice(tau=tau, lambdas=lambdas, sizes=sizes))
     return out
-
-
-def _dyadic(n: int, counts) -> list[tuple[Fraction, np.ndarray]]:
-    """(tau, `_window` indices) of the dyadic slices of an n-element set's fiber sizes."""
-    return [(tau, _window(counts, tau))
-            for tau in (Fraction(1, 2) * 2**j for j in range((n - 1).bit_length() + 1))]
 
 
 # -- doubling functional ---------------------------------------------------
@@ -291,7 +265,7 @@ def _ratio_for(A: FiniteSet, C: FiniteSet) -> Fraction:
 
 
 def d_upper(A: FiniteSet, candidates: list[FiniteSet] = (),
-            pair_budget: int = 4_000_000) -> DoublingProfile:
+            pair_budget: int = _D_UPPER_PAIR_BUDGET) -> DoublingProfile:
     """Best upper bound on the doubling functional over candidate sets C.
 
     Always tries the defaults {1}, A, A^{-1} and A/A in addition to any
@@ -299,17 +273,20 @@ def d_upper(A: FiniteSet, candidates: list[FiniteSet] = (),
     skipped (this only weakens the bound, never unsound).  The {1} and
     {A, A^{-1}} defaults guarantee d_upper <= min(|A|, K_mul^2).
     """
+    return _doubling(SetContext(A), candidates, pair_budget)
+
+
+def _doubling(ctx: SetContext, candidates, pair_budget: int) -> DoublingProfile:
+    """`d_upper(ctx.A, candidates, pair_budget)` from the context's |AA|, |A/A| and A/A."""
+    A, n = ctx.A, ctx.n
     if A.has_zero():
         raise DomainError("doubling profile requires 0 not in A")
-    n, quots = len(A), _pair_keys(A, A, "div")
-    nprod, nquot = len(pair_counts(A, A, "mul")[0]), len(quots[0])
-    K_mul = Fraction(min(nprod, nquot), n)
-
     # |A·{1}| = |A|, |A·A| = |AA| and A·A^{-1} = A/A: no new pairs to count
     scored = [(Fraction(size**2, n * len(C)), C) for C, size in
-              ((FiniteSet([1]), n), (A, nprod), (A.inverse(), nquot)) if n * len(C) <= pair_budget]
-    if n * nquot <= pair_budget:
-        AQ = FiniteSet.from_sorted(_ordered(quots)[0])
+              ((FiniteSet([1]), n), (A, ctx.nprod), (A.inverse(), ctx.nquot))
+              if n * len(C) <= pair_budget]
+    if n * ctx.nquot <= pair_budget:
+        AQ = FiniteSet.from_sorted(list(ctx.rep_counts("div")))
         scored.append((_ratio_for(A, AQ), AQ))
     for C in candidates:
         if C.has_zero():
@@ -317,7 +294,7 @@ def d_upper(A: FiniteSet, candidates: list[FiniteSet] = (),
         if n * len(C) <= pair_budget:
             scored.append((_ratio_for(A, C), C))
     best, witness = min(scored, key=lambda rc: rc[0], default=(None, None))
-    return DoublingProfile(K_mul=K_mul, d_upper=best, witness_C=witness)
+    return DoublingProfile(K_mul=ctx.K, d_upper=best, witness_C=witness)
 
 
 def d_exhaustive(A: FiniteSet, ground: FiniteSet, max_size: int) -> DoublingProfile:
@@ -332,9 +309,132 @@ def d_exhaustive(A: FiniteSet, ground: FiniteSet, max_size: int) -> DoublingProf
     max_size = min(max_size, len(ground))
     if max_size < 1:
         raise DomainError("max_size must be positive")
-    K_mul = Fraction(min(len(pair_counts(A, A, "mul")[0]),
-                         len(pair_counts(A, A, "div")[0])), len(A))
     # ties go to the lexicographically smallest C
     best, witness = min((_ratio_for(A, C), C) for k in range(1, max_size + 1)
                         for C in map(FiniteSet, combinations(ground.elements, k)))
-    return DoublingProfile(K_mul=K_mul, d_upper=best, witness_C=witness)
+    return DoublingProfile(K_mul=SetContext(A).K, d_upper=best, witness_C=witness)
+
+
+# -- the statistics of one set ---------------------------------------------
+
+class SetContext:
+    """The statistics of one set A, each derived once from at most one pair-kernel
+    run for each of add, mul and div on A×A.  Only this class reads a kernel
+    result.  A context serves one top-level call, so no statistic outlives
+    the call that derived it."""
+
+    def __init__(self, A: FiniteSet):
+        self.A = A
+        self.n = len(A)
+        self._kernel = {}
+
+    def _result(self, op: str):
+        """The pair-kernel result for A∘A, computed on first use."""
+        if op not in self._kernel:
+            self._kernel[op] = _pair_keys(self.A, self.A, op)
+        return self._kernel[op]
+
+    def _quots(self, tau=None):
+        """A/A's kernel result, and the key indices of the window tau < |A_lambda|
+        <= 2*tau (None: every key).  The fiber reads need 0 outside A."""
+        if self.A.has_zero():
+            raise DomainError("spectrum requires 0 not in A")
+        quots = self._result("div")
+        if tau is None:
+            return quots, None
+        idx = np.flatnonzero(quots[1] > floor(tau))
+        return quots, idx[quots[1][idx] <= floor(2 * tau)]
+
+    def counts(self, X: FiniteSet, Y: FiniteSet, op: str):
+        """The counts of `pair_counts(X, Y, op)`, from the context when X and Y are A."""
+        return self._result(op)[1] if X is self.A and Y is self.A else pair_counts(X, Y, op)[1]
+
+    def rep_counts(self, op: str) -> Counter:
+        """`rep_counts(A, A, op)`: the distinct values of A∘A, in increasing order,
+        with their counts."""
+        return Counter(dict(zip(*_ordered(self._result(op))[:2])))
+
+    @cached_property
+    def nsum(self) -> int:
+        return len(self._result("add")[1])
+
+    @cached_property
+    def nprod(self) -> int:
+        return len(self._result("mul")[1])
+
+    @cached_property
+    def nquot(self) -> int:
+        return len(self._result("div")[1])
+
+    @cached_property
+    def K(self) -> Fraction:
+        return Fraction(min(self.nprod, self.nquot), self.n)
+
+    @cached_property
+    def Ex(self) -> int:
+        if self.A.has_zero():
+            raise DomainError("zero element in multiplicative energy")
+        c = self._result("mul")[1]
+        return int(c @ c)
+
+    @cached_property
+    def Ep(self) -> int:
+        c = self._result("add")[1]
+        return int(c @ c)
+
+    @cached_property
+    def max_fiber(self) -> int:
+        """The largest |A_lambda|."""
+        quots, _ = self._quots()
+        return int(quots[1].max())
+
+    @cached_property
+    def slices(self) -> list[tuple[Fraction, int]]:
+        """(tau, number of lambda in the window) of each slice of `dyadic_slices(A)`."""
+        return [(tau, len(self._quots(tau)[1]))
+                for tau in (Fraction(1, 2) * 2**j for j in range(self.ceil_log2n + 1))]
+
+    def fiber_sizes(self, tau=None) -> dict:
+        """lambda -> |A_lambda| over A/A, or over the window tau < |A_lambda| <= 2*tau,
+        in increasing order of lambda."""
+        values, counts, _ = _ordered(*self._quots(tau))
+        return dict(zip(values, counts))
+
+    def fibers(self, tau=None) -> dict:
+        """lambda -> A_lambda = A ∩ lambda*A over A/A, or over the window
+        tau < |A_lambda| <= 2*tau, in increasing order of lambda.
+
+        A_lambda holds the a_i with a_i/a_j = lambda, the rows of lambda's pairs;
+        one pass over the pairs in row order gathers them, ascending.
+        """
+        quots, idx = self._quots(tau)
+        n, pairs, rows = self.n, quots[2].tolist(), {}
+        for i, a in enumerate(self.A.elements):
+            for key in pairs[i * n:(i + 1) * n]:
+                rows.setdefault(key, []).append(a)
+        keys = quots[0].tolist()
+        lams, _, idx = _ordered(quots, idx)
+        return {lam: FiniteSet.from_sorted(rows[keys[k]]) for lam, k in zip(lams, idx)}
+
+    @cached_property
+    def dhat(self) -> DoublingProfile:
+        """`d_upper(A)`, without counting |AA|, |A/A| or A/A again."""
+        return _doubling(self, (), _D_UPPER_PAIR_BUDGET)
+
+    @cached_property
+    def log2n(self) -> Fraction:
+        return log2_frac(Fraction(self.n))
+
+    @cached_property
+    def ceil_log2n(self) -> int:
+        return (self.n - 1).bit_length()
+
+    @cached_property
+    def L_quot(self) -> Fraction:
+        return max(Fraction(1),
+                   Fraction(self.nsum) ** 2 * self.nquot / Fraction(self.n) ** 4)
+
+    @cached_property
+    def L_prod(self) -> Fraction:
+        return max(Fraction(1),
+                   Fraction(self.nsum) ** 2 * self.nprod / Fraction(self.n) ** 4)

@@ -13,10 +13,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import ceil
 
-from . import stats
 from ._approx import log2_frac, product_pow
 from .counting import _cluster_report, sigma_count
 from .exactset import (
@@ -26,14 +24,7 @@ from .exactset import (
     Scalar,
     format_scalar,
 )
-from .stats import (
-    DoublingProfile,
-    d_upper,
-    energy,
-    pair_counts,
-    productset,
-    quotientset,
-)
+from .stats import SetContext, d_upper
 
 #: exponent bump of the max{|A+A|,|AA|} >= |A|^{4/3+c} bound, just under
 #: the admissible supremum 1/20598
@@ -82,84 +73,6 @@ def report_json(reports) -> str:
 def _digest(A: FiniteSet) -> str:
     h = hashlib.sha256(repr(A).encode()).hexdigest()[:10]
     return f"|A|={len(A)};min={format_scalar(A.min())};max={format_scalar(A.max())};{h}"
-
-
-class SetContext:
-    """The statistics of one set A, each derived once from at most one pair-kernel
-    run for each of add, mul and div on A×A.  A context serves one top-level
-    call, so no statistic outlives the call that derived it."""
-
-    def __init__(self, A: FiniteSet):
-        self.A = A
-        self.n = len(A)
-        self._kernel = {}
-
-    def kernel(self, op: str):
-        """The pair-kernel result for A∘A, computed on first use."""
-        if op not in self._kernel:
-            self._kernel[op] = stats._pair_keys(self.A, self.A, op)
-        return self._kernel[op]
-
-    def counts(self, X: FiniteSet, Y: FiniteSet, op: str):
-        """The counts of `pair_counts(X, Y, op)`, from the context when X and Y are A."""
-        return self.kernel(op)[1] if X is self.A and Y is self.A else pair_counts(X, Y, op)[1]
-
-    @cached_property
-    def nsum(self) -> int:
-        return len(self.kernel("add")[1])
-
-    @cached_property
-    def nprod(self) -> int:
-        return len(self.kernel("mul")[1])
-
-    @cached_property
-    def nquot(self) -> int:
-        return len(self.kernel("div")[1])
-
-    @cached_property
-    def K(self) -> Fraction:
-        return Fraction(min(self.nprod, self.nquot), self.n)
-
-    @cached_property
-    def Ex(self) -> int:
-        if self.A.has_zero():
-            raise DomainError("zero element in multiplicative energy")
-        c = self.kernel("mul")[1]
-        return int(c @ c)
-
-    @cached_property
-    def Ep(self) -> int:
-        c = self.kernel("add")[1]
-        return int(c @ c)
-
-    @cached_property
-    def slices(self) -> list:
-        """The (tau, key indices) of `dyadic_slices(A)`, from the context's A/A."""
-        if self.A.has_zero():
-            raise DomainError("spectrum requires 0 not in A")
-        return stats._dyadic(self.n, self.kernel("div")[1])
-
-    @cached_property
-    def dhat(self) -> DoublingProfile:
-        return d_upper(self.A)
-
-    @cached_property
-    def log2n(self) -> Fraction:
-        return log2_frac(Fraction(self.n))
-
-    @cached_property
-    def ceil_log2n(self) -> int:
-        return (self.n - 1).bit_length()
-
-    @cached_property
-    def L_quot(self) -> Fraction:
-        return max(Fraction(1),
-                   Fraction(self.nsum) ** 2 * self.nquot / Fraction(self.n) ** 4)
-
-    @cached_property
-    def L_prod(self) -> Fraction:
-        return max(Fraction(1),
-                   Fraction(self.nsum) ** 2 * self.nprod / Fraction(self.n) ** 4)
 
 
 def _need(ctx: SetContext, min_size=2, nonzero=False, positive=False):
@@ -361,9 +274,9 @@ def _prop_crit(ctx, params, product_variant: bool):
     size = ctx.nprod if product_variant else ctx.nquot
     if size > cap:
         raise ResourceError(f"{rid}: |derived set| = {size} exceeds cap {cap}")
-    big = FiniteSet.from_sorted(stats._ordered(ctx.kernel("mul" if product_variant else "div"))[0])
+    big = FiniteSet.from_sorted(list(ctx.rep_counts("mul" if product_variant else "div")))
     L = ctx.L_prod if product_variant else ctx.L_quot
-    lhs = Fraction(energy(big, mode="mul"))
+    lhs = Fraction(SetContext(big).Ex)
     rhs = Fraction(ctx.Ex) ** 3 / (L**32 * Fraction(ctx.n) ** 4)
     return InequalityReport(id=rid, lhs=lhs, rhs=rhs, ratio=lhs / rhs,
                             explicit=False, passed=None, inputs=_digest(ctx.A))
@@ -384,7 +297,7 @@ def _lemma3(ctx, params):
         if chosen is None:
             raise DomainError("LEMMA3: no qualifying dyadic slice")
         tau = chosen[0]
-    cluster = _cluster_report(ctx.kernel, ctx.A, tau, params.get("M", 2), params.get("S_sub"),
+    cluster = _cluster_report(ctx, tau, params.get("M", 2), params.get("S_sub"),
                               params.get("pair_budget", 200_000))
     lhs = Fraction(ctx.nsum) ** 2
     both = all(cluster.conditions_ok)
@@ -477,11 +390,11 @@ class SmallLReport:
 
 
 def _choose_slice(ctx: SetContext):
-    """The threshold E×(A)/(2|A|^2), the nonempty slices (tau, key indices) at or
+    """The threshold E×(A)/(2|A|^2), the nonempty slices (tau, |S_tau|) at or
     above it, and the one of maximal |S_tau| tau^2 (then tau) among them, or None."""
     threshold = Fraction(ctx.Ex, 2 * ctx.n**2)
-    qualifying = [(tau, idx) for tau, idx in ctx.slices if len(idx) and tau >= threshold]
-    chosen = max(qualifying, key=lambda s: (len(s[1]) * s[0]**2, s[0]), default=None)
+    qualifying = [(tau, size) for tau, size in ctx.slices if size and tau >= threshold]
+    chosen = max(qualifying, key=lambda s: (s[1] * s[0]**2, s[0]), default=None)
     return threshold, qualifying, chosen
 
 
@@ -500,8 +413,8 @@ def _smallL(ctx: SetContext) -> SmallLReport:
     diagnostics = {
         "threshold": threshold,
         "energy_mul": ctx.Ex,
-        "slice_mass_all": sum(len(idx) * tau**2 for tau, idx in ctx.slices),
-        "slice_mass_qualifying": sum(len(idx) * tau**2 for tau, idx in qualifying),
+        "slice_mass_all": sum(size * tau**2 for tau, size in ctx.slices),
+        "slice_mass_qualifying": sum(size * tau**2 for tau, size in qualifying),
         "n_slices": len(ctx.slices),
     }
     if chosen is None:
@@ -511,24 +424,21 @@ def _smallL(ctx: SetContext) -> SmallLReport:
                             min_quotient_ratio=None, min_product_ratio=None,
                             diagnostics=diagnostics)
 
-    tau, idx = chosen
-    fibers = stats._fibers(ctx.A, ctx.kernel("div"), idx)
+    tau = chosen[0]
+    fibers = {lam: SetContext(fiber) for lam, fiber in ctx.fibers(tau).items()}
     S_tau = FiniteSet.from_sorted(list(fibers))
-    fiber_energy = {lam: energy(fiber, mode="add") for lam, fiber in fibers.items()}
 
     if len(S_tau) == 1:
         S_prime = S_dprime = S_tau
     else:
         half = len(S_tau) // 2
-        by_energy = sorted(S_tau, key=lambda lam: (fiber_energy[lam], lam))
+        by_energy = sorted(S_tau, key=lambda lam: (fibers[lam].Ep, lam))
         S_dprime = FiniteSet(by_energy[:half])
         S_prime = FiniteSet(by_energy[half:])
 
-    add_ratio = min(Fraction(fiber_energy[lam]) / tau**3 for lam in S_prime)
-    quot_ratio = min(Fraction(len(pair_counts(fibers[lam], fibers[lam], "div")[0]))
-                     / tau**2 for lam in S_prime)
-    prod_ratio = min(Fraction(len(pair_counts(fibers[lam], fibers[lam], "mul")[0]))
-                     / tau**2 for lam in S_prime)
+    add_ratio = min(Fraction(fibers[lam].Ep) / tau**3 for lam in S_prime)
+    quot_ratio = min(Fraction(fibers[lam].nquot) / tau**2 for lam in S_prime)
+    prod_ratio = min(Fraction(fibers[lam].nprod) / tau**2 for lam in S_prime)
     return SmallLReport(L=ctx.L_quot, L_prod=ctx.L_prod, tau=tau, S_tau=S_tau,
                         S_prime=S_prime, S_doubleprime=S_dprime,
                         min_additive_energy_ratio=add_ratio,
@@ -547,11 +457,10 @@ def katz_koester_check(A: FiniteSet) -> list[tuple[Scalar, str, Scalar]]:
     """
     if A.has_zero():
         raise DomainError("inclusion check requires 0 not in A")
-    fibers = stats._fibers(A, stats._pair_keys(A, A, "div"))
-    Pi = set(fibers)
-    PiP = set(productset(A, A).elements)
+    ctx = SetContext(A)
+    Pi, PiP = ctx.fibers(), ctx.rep_counts("mul")  # keyed by A/A and by AA
     violations = []
-    for lam, fiber in fibers.items():
+    for lam, fiber in Pi.items():
         for q in sorted({x / y for x in fiber for y in fiber}):
             if q not in Pi or q / lam not in Pi:
                 violations.append((lam, "quot", q))

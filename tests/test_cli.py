@@ -3,13 +3,14 @@
 import contextlib
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumprod import (FiniteSet, d_upper, dyadic_slices, energy, explore, format_scalar,
-                     productset, quotientset, sumset)
+                     productset, quotientset, stats, sumset)
 from sumprod.cli import main
 
 
@@ -291,3 +292,19 @@ def test_stats_json_matches_the_public_functions(tmp_path_factory, values, with_
     code, out, err = run_captured(["stats", "--json", "--input", str(path)])
     assert (code, err) == (0, "")
     assert out == json.dumps(public_stats(A), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_stats_json_runs_each_pair_kernel_once(tmp_path, capsys, monkeypatch):
+    calls = Counter()
+    pair_keys = stats._pair_keys
+
+    def counting(A, B, op):
+        calls[op, A == B] += 1
+        return pair_keys(A, B, op)
+
+    monkeypatch.setattr(stats, "_pair_keys", counting)
+    path = tmp_path / "sixteen.txt"
+    path.write_text("\n".join(str(3 * k * k + 1) for k in range(1, 17)) + "\n")
+    assert run(capsys, "stats", "--json", "--input", str(path))[0] == 0
+    # A+A, AA and A/A once each, and A·(A/A) for the doubling bound
+    assert calls == {("add", True): 1, ("mul", True): 1, ("div", True): 1, ("mul", False): 1}

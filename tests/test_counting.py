@@ -28,6 +28,7 @@ from sumprod.counting import (
     cluster_sigma,
     slice_slopes,
 )
+from sumprod.stats import SetContext
 
 A123 = FiniteSet([1, 2, 3])
 
@@ -334,13 +335,13 @@ def test_cluster_subset_must_lie_in_window():
 
 def test_cluster_box_check_sees_a_wrong_fiber_element(monkeypatch):
     assert solymosi_cluster_report(DIVISOR_RICH, 2, 2).sums_in_box
-    fibers = counting._fibers
+    fibers = SetContext.fibers
 
-    def grouping(A, quots, idx=None):
+    def grouping(ctx, tau=None):
         # 36000 is in no fiber; its sums are integers past max(A+A) = 72
-        return {lam: f.union(FiniteSet([36000])) for lam, f in fibers(A, quots, idx).items()}
+        return {lam: f.union(FiniteSet([36000])) for lam, f in fibers(ctx, tau).items()}
 
-    monkeypatch.setattr(counting, "_fibers", grouping)
+    monkeypatch.setattr(SetContext, "fibers", grouping)
     assert not solymosi_cluster_report(DIVISOR_RICH, 2, 2).sums_in_box
 
 

@@ -1,0 +1,51 @@
+"""Only `stats` reads a pair-kernel result: no other module of the package
+imports a private name of `stats` (`_pair_keys`, `_ordered`, ...), takes
+one as an attribute of it, or reads a private member of a `SetContext`."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sumprod"
+
+
+def context_private_members() -> set[str]:
+    """The private methods and attributes of `stats.SetContext`."""
+    tree = ast.parse((SRC / "stats.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SetContext")
+    names = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+    names |= {n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute)
+              and isinstance(n.value, ast.Name) and n.value.id == "self"}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def private_stats_names(source: str, members=frozenset()) -> set[str]:
+    """Private names of `stats` that a module imports or reads as `stats._name`,
+    and the names in members that it reads as an attribute of anything."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "stats":
+            found |= {a.name for a in node.names if a.name.startswith("_")}
+        elif isinstance(node, ast.Attribute) and (node.attr in members or (
+                node.attr.startswith("_") and isinstance(node.value, ast.Name)
+                and node.value.id == "stats")):
+            found.add(node.attr)
+    return found
+
+
+def test_the_checker_sees_both_kinds_of_reach():
+    assert private_stats_names("from .stats import _pair_keys, energy") == {"_pair_keys"}
+    assert private_stats_names("from sumprod.stats import _window") == {"_window"}
+    assert private_stats_names("from . import stats\nstats._ordered(r)") == {"_ordered"}
+    assert private_stats_names("from .stats import SetContext\nctx.fibers()") == set()
+    members = context_private_members()
+    assert {"_result", "_kernel"} <= members
+    assert private_stats_names("ctx._result('div')[0]", members) == {"_result"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "stats.py"),
+                         ids=lambda p: p.name)
+def test_no_module_but_stats_reaches_a_private_stats_name(path):
+    found = private_stats_names(path.read_text(encoding="utf-8"), context_private_members())
+    assert not found, f"{path.name} reaches the stats internals {sorted(found)}"

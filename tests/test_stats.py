@@ -172,6 +172,38 @@ def test_d_exhaustive_dominates_default_bounds():
     assert d_exhaustive(A, A, 4).d_upper <= d_upper(A).d_upper
 
 
+def doubling_oracle(A):
+    """K_mul, d_upper and the witness of the {1}, A, A^-1 and A/A candidates,
+    by Fraction enumeration (first minimum wins, as in `d_upper`)."""
+    els, n = list(A), len(A)
+    quots = {a / b for a in els for b in els}
+    K = Fraction(min(len({a * b for a in els for b in els}), len(quots)), n)
+    candidates = [FiniteSet([1]), A, FiniteSet(1 / a for a in els), FiniteSet(quots)]
+    best, witness = min(((Fraction(len({a * c for a in els for c in C}) ** 2, n * len(C)), C)
+                         for C in candidates), key=lambda rc: rc[0])
+    return K, best, witness
+
+
+signed_nonzero = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool)
+
+
+@pytest.mark.parametrize("top, path", [(None, None), (2**31 - 1, np.int64), (2**31, object)])
+@given(rationals=st.sets(signed_nonzero, min_size=1, max_size=6),
+       integers=st.sets(st.one_of(st.integers(-40, 40).filter(bool),
+                                  st.sampled_from([2**30, -(2**30) + 1, 2**29 - 1])), max_size=5))
+@settings(max_examples=30, deadline=None)
+def test_doubling_bound_of_the_context_and_of_d_upper(top, path, rationals, integers):
+    # signed rationals with mixed denominators, or integers whose largest element
+    # decides between the int64 and the Python-int path of AA
+    A = FiniteSet(rationals if top is None else integers | {top})
+    if path is not None:
+        assert pair_counts(A, A, "mul")[0].dtype == path
+    profiles = [d_upper(A), SetContext(A).dhat]
+    expected = doubling_oracle(A)
+    for prof in profiles:
+        assert (prof.K_mul, prof.d_upper, prof.witness_C) == expected
+
+
 # -- the integer pair kernel against Fraction brute force -------------------
 
 SET_OF = {"add": sumset, "sub": differenceset, "mul": productset, "div": quotientset}
@@ -263,15 +295,15 @@ def check_fibers(A):
     `lambda_set` on a Fraction enumeration of A/A."""
     oracle = {lam: lambda_set(A, lam) for lam in sorted({a / b for a in A for b in A})}
     quots = stats._pair_keys(A, A, "div")
-    assert list(stats._fibers(A, quots).items()) == list(oracle.items())
+    assert list(SetContext(A).fibers().items()) == list(oracle.items())
     assert sorted(quots[1].tolist()) == sorted(len(f) for f in oracle.values())
     assert spectrum(A) == [(lam, len(f)) for lam, f in oracle.items()]
     slices, ctx_slices = dyadic_slices(A), SetContext(A).slices
     assert len(slices) == len(ctx_slices) == (len(A) - 1).bit_length() + 1
-    for j, (s, (tau, window)) in enumerate(zip(slices, ctx_slices)):
+    for j, (s, (tau, count)) in enumerate(zip(slices, ctx_slices)):
         expected = {lam: len(f) for lam, f in oracle.items() if 2**j < 2 * len(f) <= 2**(j + 1)}
         assert s.tau == tau == Fraction(2**j, 2)
-        assert list(s.sizes.items()) == list(expected.items()) and len(window) == len(expected)
+        assert list(s.sizes.items()) == list(expected.items()) and count == len(expected)
         assert s.lambdas == (FiniteSet(expected) if expected else None)
     for tau in (0, Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(7, 3), 4, len(A)):
         expected = [(lam, f) for lam, f in oracle.items() if tau < len(f) <= 2 * tau]

@@ -19,7 +19,7 @@ from sumprod import (
     solplus_trace,
     verify_suite,
 )
-from sumprod import counting, d_upper, stats, verify
+from sumprod import counting, d_upper, stats
 from sumprod.verify import REGISTRY, SetContext
 from sumprod._approx import product_pow
 
@@ -172,14 +172,14 @@ def test_katz_koester_clean_sets():
 def test_katz_koester_reports_a_wrong_fiber_element(monkeypatch):
     A = FiniteSet(range(1, 9))
     assert katz_koester_check(A) == []
-    fibers = stats._fibers
+    fibers = SetContext.fibers
 
-    def grouping(A, quots, idx=None):
+    def grouping(ctx, tau=None):
         # A_2 = {2, 4, 6, 8}; 3 is not in it
         return {lam: f.union(FiniteSet([3])) if lam == 2 else f
-                for lam, f in fibers(A, quots, idx).items()}
+                for lam, f in fibers(ctx, tau).items()}
 
-    monkeypatch.setattr(stats, "_fibers", grouping)
+    monkeypatch.setattr(SetContext, "fibers", grouping)
     violations = katz_koester_check(A)
     assert (2, "quot", Fraction(3, 8)) in violations and (2, "prod", 9) in violations
     assert {lam for lam, _, _ in violations} == {2}
@@ -216,11 +216,10 @@ def test_solplus_trace_guard():
 
 @pytest.mark.parametrize("rid", ["PROP-CRIT-P", "PROP-CRIT-Q"])
 def test_prop_crit_checks_the_cap_before_building(rid, monkeypatch):
-    def build(A, B):
+    def build(ctx, op):
         raise AssertionError("the derived set was built before the cap check")
 
-    monkeypatch.setattr(verify, "productset", build)
-    monkeypatch.setattr(verify, "quotientset", build)
+    monkeypatch.setattr(SetContext, "rep_counts", build)
     size = 6 if rid == "PROP-CRIT-P" else 7  # |AA| and |A/A| of {1, 2, 3}
     with pytest.raises(ResourceError, match=rf"{rid}: \|derived set\| = {size} exceeds cap 5"):
         evaluate(rid, A123, {"cap": 5})
@@ -228,8 +227,8 @@ def test_prop_crit_checks_the_cap_before_building(rid, monkeypatch):
 
 def test_gen_sigma_reuses_the_context_doubling_bound(monkeypatch):
     calls = []
-    d_upper = verify.d_upper
-    monkeypatch.setattr(verify, "d_upper", lambda A: calls.append(A) or d_upper(A))
+    doubling = stats._doubling
+    monkeypatch.setattr(stats, "_doubling", lambda ctx, *a: calls.append(ctx.A) or doubling(ctx, *a))
     ctx = SetContext(POWERS4)
     for rid in ("PREV-DA", "GEN-SIGMA", "DA-LEVEL"):
         evaluate(rid, POWERS4, ctx=ctx)
@@ -274,20 +273,17 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def test_context_runs_each_pair_product_once(kernel_calls, monkeypatch):
-    profile = d_upper(S8)  # counted on its own below
-    monkeypatch.setattr(verify, "d_upper", lambda A: profile)
-    kernel_calls.clear()
+def test_context_runs_each_pair_product_once(kernel_calls):
     ctx = SetContext(S8)
     for _ in range(2):
         (ctx.nsum, ctx.nprod, ctx.nquot, ctx.K, ctx.Ep, ctx.Ex, ctx.L_quot, ctx.L_prod,
-         ctx.slices)
+         ctx.slices, ctx.max_fiber, ctx.dhat, ctx.fibers(2), ctx.rep_counts("add"))
         for rid in ("LEVELSET", "DA-LEVEL", "ENERGY-SUMSET", "CS-SUBS",
                     "PROP-CRIT-P", "PROP-CRIT-Q"):
             evaluate(rid, S8, ctx=ctx)
-    # the last two are E_x of AA and of A/A, once per evaluation
+    # A·(A/A) for the doubling bound once, then E_x of AA and of A/A per evaluation
     assert kernel_calls == {("add", True): 1, ("mul", True): 1, ("div", True): 1,
-                            ("mul", False): 4}
+                            ("mul", False): 5}
 
 
 def test_d_upper_counts_the_quotient_and_product_sets_once(kernel_calls):
@@ -297,9 +293,9 @@ def test_d_upper_counts_the_quotient_and_product_sets_once(kernel_calls):
 
 def test_verify_suite_kernel_calls(kernel_calls):
     verify_suite(S8)
-    # the context (3), d_upper (A/A, AA, A·(A/A)) and E_x of AA and of A/A;
+    # the context (3), A·(A/A) for its doubling bound and E_x of AA and of A/A;
     # the LEMMA3 cluster report reads its fibers and A+A from the context
-    assert kernel_calls == {("add", True): 1, ("mul", True): 2, ("div", True): 2,
+    assert kernel_calls == {("add", True): 1, ("mul", True): 1, ("div", True): 1,
                             ("mul", False): 3}
 
 
@@ -307,7 +303,7 @@ def test_lemma3_checks_M_before_any_cluster_work(kernel_calls, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("cluster work ran before the M check")
 
-    for module, name in ((counting, "sigma_max"), (counting, "_fibers"),
+    for module, name in ((counting, "sigma_max"), (SetContext, "fibers"),
                          (stats, "sumset"), (stats, "lambda_set")):
         monkeypatch.setattr(module, name, fail)
     with pytest.raises(DomainError, match="M exceeds the number of available slopes"):
