@@ -39,18 +39,17 @@ class SigmaResult:
 def sigma_count(a1, A1: FiniteSet, a2, A2: FiniteSet, a3, A3: FiniteSet) -> SigmaResult:
     """Count solutions of a1*x1 + a2*x2 + a3*x3 = 0, x_i in A_i.
 
-    Hashes a3*A3 and enumerates (x1, x2) pairs: O(|A1||A2|).
+    Scales a1*A1, a2*A2 and -a3*A3 to integers over one denominator and
+    counts the pairs of the first two whose sum lies in the third: O(|A1||A2|).
     """
     a1, a2, a3 = as_scalar(a1), as_scalar(a2), as_scalar(a3)
     if a1 == 0 or a2 == 0 or a3 == 0:
         raise DomainError("sigma coefficients must be nonzero")
-    targets = {-a3 * x for x in A3}
-    count = 0
-    for x1 in A1:
-        v1 = a1 * x1
-        for x2 in A2:
-            if v1 + a2 * x2 in targets:
-                count += 1
+    terms = [[a * x for x in S] for a, S in ((a1, A1), (a2, A2), (-a3, A3))]
+    m = lcm(*(t.denominator for T in terms for t in T))
+    s1, s2, s3 = (scaled_integers(T, m)[0] for T in terms)
+    targets = set(s3)
+    count = sum(u + v in targets for u in s1 for v in s2)
     return SigmaResult(count=count, coefficients=(a1, a2, a3))
 
 
@@ -184,24 +183,19 @@ def collinear_triples(points) -> int:
     if n <= 2:
         return degenerate
     xs, ys = _scaled_point_ints(pts)
-    span = max(map(abs, xs + ys))
-    if span < _GRID_INT64_SAFE:
-        d3 = _distinct_collinear_numpy(xs, ys)
-    else:
-        d3 = _distinct_collinear_python(xs, ys)
-    return degenerate + d3
+    dtype = np.int64 if max(map(abs, xs + ys)) < _GRID_INT64_SAFE else object
+    return degenerate + _distinct_collinear(np.array(xs, dtype), np.array(ys, dtype))
 
 
-def _distinct_collinear_numpy(xs, ys) -> int:
-    """D3 of lexicographically sorted points, in int64 tiles.
+def _distinct_collinear(X, Y) -> int:
+    """D3 of lexicographically sorted points, in tiles of the arrays' type:
+    int64 below span 2^30, Python ints (an object array) above.
 
     A tile holds at most `_COLLINEAR_BLOCK` pairs: rows i = s..e-1 against
     the columns j > s.  The direction key dx*(4*span+3) + dy of a later
     point j > i is positive; the entries j <= i get the distinct negative
     keys -j, runs of length one that add nothing.
     """
-    X = np.array(xs, dtype=np.int64)
-    Y = np.array(ys, dtype=np.int64)
     n = len(X)
     key_base = 4 * int(max(np.max(np.abs(X)), np.max(np.abs(Y)))) + 3
     total = 0
@@ -220,21 +214,6 @@ def _distinct_collinear_numpy(xs, ys) -> int:
         c = np.diff(np.flatnonzero(run_start), append=key.size)
         total += int(c @ (c - 1))
         s = e
-    return 3 * total
-
-
-def _distinct_collinear_python(xs, ys) -> int:
-    """D3 of lexicographically sorted points with Python ints."""
-    n = len(xs)
-    total = 0
-    for i in range(n - 1):
-        dirs: Counter = Counter()
-        xi, yi = xs[i], ys[i]
-        for j in range(i + 1, n):
-            dx, dy = xs[j] - xi, ys[j] - yi
-            g = gcd(dx, dy)
-            dirs[(dx // g, dy // g)] += 1
-        total += sum(c * (c - 1) for c in dirs.values())
     return 3 * total
 
 

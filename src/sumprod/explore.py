@@ -42,32 +42,6 @@ class GeneratorSpec:
     kind: str
     params: dict
 
-    def to_json_dict(self) -> dict:
-        params = {}
-        for k, v in self.params.items():
-            if isinstance(v, Fraction):
-                params[k] = format_scalar(v)
-            elif isinstance(v, GeneratorSpec):
-                params[k] = v.to_json_dict()
-            elif isinstance(v, (list, tuple)):
-                params[k] = [o.to_json_dict() if isinstance(o, GeneratorSpec)
-                             else o for o in v]
-            else:
-                params[k] = v
-        return {"kind": self.kind, "params": params}
-
-
-def _spec_from_json(obj: dict) -> GeneratorSpec:
-    params = {}
-    for k, v in obj.get("params", {}).items():
-        if isinstance(v, dict) and "kind" in v:
-            params[k] = _spec_from_json(v)
-        elif isinstance(v, list) and v and isinstance(v[0], dict):
-            params[k] = [_spec_from_json(o) for o in v]
-        else:
-            params[k] = v
-    return GeneratorSpec(kind=obj["kind"], params=params)
-
 
 def generate(spec: GeneratorSpec) -> FiniteSet:
     """Materialize a GeneratorSpec; identical specs yield identical sets."""

@@ -2,9 +2,10 @@
 
 Every labelled sum-product bound is evaluated on a concrete set: exact
 pass/fail where the constant is explicit, an exact-rational tightness
-ratio where the statement hides a constant.  Also houses the executable
-low-L construction, the Katz-Koester inclusion test and the trace of the
-|A|^{4/3+c} argument at toy scale.
+ratio where the statement hides a constant.  Each entry reads one
+`SetContext` and returns numbers; `evaluate` builds the report.  Also
+houses the executable low-L construction, the Katz-Koester inclusion test
+and the trace of the |A|^{4/3+c} argument at toy scale.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import ceil
 
 from ._approx import log2_frac, product_pow
@@ -84,76 +86,60 @@ def _need(ctx: SetContext, min_size=2, nonzero=False, positive=False):
         raise DomainError("entry requires positive elements")
 
 
-def _explicit(rid, ctx, lhs: Fraction, rhs: Fraction) -> InequalityReport:
+# Each entry reads the context and returns (lhs, rhs, ratio, explicit, passed).
+
+def _explicit(lhs, rhs):
     lhs, rhs = Fraction(lhs), Fraction(rhs)
-    return InequalityReport(id=rid, lhs=lhs, rhs=rhs, ratio=lhs / rhs,
-                            explicit=True, passed=lhs >= rhs,
-                            inputs=_digest(ctx.A))
+    return lhs, rhs, lhs / rhs, True, lhs >= rhs
 
 
-def _ratio(rid, ctx, lhs: Fraction, factors) -> InequalityReport:
+def _hidden(lhs: Fraction, rhs: Fraction):
+    return lhs, rhs, lhs / rhs, False, None
+
+
+def _ratio(lhs, factors):
     """Hidden-constant entry: rhs = prod base^exp, rendered not asserted."""
     lhs = Fraction(lhs)
     rhs = product_pow(factors)
-    ratio = product_pow([(lhs, Fraction(1))]
-                        + [(b, -Fraction(e)) for b, e in factors])
-    return InequalityReport(id=rid, lhs=lhs, rhs=rhs, ratio=ratio,
-                            explicit=False, passed=None, inputs=_digest(ctx.A))
+    ratio = product_pow([(lhs, 1)] + [(b, -Fraction(e)) for b, e in factors])
+    return lhs, rhs, ratio, False, None
+
+
+def _level_count(counts, tau) -> Fraction:
+    """How many of the counts reach tau."""
+    level = ceil(tau)  # integer counts against an integer level
+    return Fraction(sum(1 for c in counts.tolist() if c >= level))
 
 
 # -- registry entries ------------------------------------------------------
 
-def _soly_prod(ctx, params):
+def _solymosi(size, ctx, params):
+    """|A+A|^2 |AA| >= |A|^4 / (4 ceil(log2 |A|)), or with |A/A|; size names which."""
     _need(ctx)
-    lhs = Fraction(ctx.nsum) ** 2 * ctx.nprod
-    rhs = Fraction(ctx.n**4, 4 * ctx.ceil_log2n)
-    return _explicit("SOLY-PROD", ctx, lhs, rhs)
+    return _explicit(Fraction(ctx.nsum) ** 2 * getattr(ctx, size),
+                     Fraction(ctx.n**4, 4 * ctx.ceil_log2n))
 
 
-def _soly_quot(ctx, params):
-    _need(ctx)
-    lhs = Fraction(ctx.nsum) ** 2 * ctx.nquot
-    rhs = Fraction(ctx.n**4, 4 * ctx.ceil_log2n)
-    return _explicit("SOLY-QUOT", ctx, lhs, rhs)
+def _sumset_bound(*exponents):
+    """The entry for |A+A| against |A|^a K^b, times (log2 |A|)^c when a c is given."""
+    a, b, *c = map(Fraction, exponents)
+
+    def entry(ctx, params):
+        _need(ctx)
+        return _ratio(ctx.nsum, [(ctx.n, a), (ctx.K, b)] + [(ctx.log2n, e) for e in c])
+    return entry
 
 
 def _soly_max(ctx, params):
     _need(ctx)
-    lhs = Fraction(max(ctx.nsum, ctx.nprod))
-    return _ratio("SOLY-MAX", ctx, lhs,
-                  [(Fraction(ctx.n), Fraction(4, 3)),
-                   (ctx.log2n, Fraction(-1, 3))])
-
-
-def _cor_sol(ctx, params):
-    _need(ctx)
-    return _ratio("COR-SOL", ctx, Fraction(ctx.nsum),
-                  [(Fraction(ctx.n), Fraction(3, 2)), (ctx.K, Fraction(-1, 2))])
-
-
-def _prev(ctx, params):
-    _need(ctx)
-    return _ratio("PREV", ctx, Fraction(ctx.nsum),
-                  [(Fraction(ctx.n), Fraction(58, 37)), (ctx.K, Fraction(-42, 37))])
+    return _ratio(max(ctx.nsum, ctx.nprod),
+                  [(ctx.n, Fraction(4, 3)), (ctx.log2n, Fraction(-1, 3))])
 
 
 def _prev_da(ctx, params):
     _need(ctx, nonzero=True)
-    return _ratio("PREV-DA", ctx, Fraction(ctx.nsum),
-                  [(Fraction(ctx.n), Fraction(58, 37)),
-                   (ctx.dhat.d_upper, Fraction(-21, 37))])
-
-
-def _main_a(ctx, params):
-    _need(ctx)
-    return _ratio("MAIN-A", ctx, Fraction(ctx.nsum),
-                  [(Fraction(ctx.n), Fraction(19, 12)), (ctx.K, Fraction(-5, 6))])
-
-
-def _main_b(ctx, params):
-    _need(ctx)
-    return _ratio("MAIN-B", ctx, Fraction(ctx.nsum),
-                  [(Fraction(ctx.n), Fraction(49, 32)), (ctx.K, Fraction(-19, 32))])
+    return _ratio(ctx.nsum, [(ctx.n, Fraction(58, 37)),
+                             (ctx.dhat.d_upper, Fraction(-21, 37))])
 
 
 def _cs_subs(ctx, params):
@@ -164,8 +150,7 @@ def _cs_subs(ctx, params):
         raise DomainError("CS-SUBS requires A1, A2 subsets of A")
     c = ctx.counts(A1, A2, "mul")
     lhs = Fraction(int(c @ c)) * min(ctx.nquot, ctx.nprod)
-    rhs = Fraction(len(A1)) ** 2 * Fraction(len(A2)) ** 2
-    return _explicit("CS-SUBS", ctx, lhs, rhs)
+    return _explicit(lhs, Fraction(len(A1)) ** 2 * Fraction(len(A2)) ** 2)
 
 
 def _levelset(ctx, params):
@@ -175,14 +160,9 @@ def _levelset(ctx, params):
         raise DomainError("LEVELSET requires min size 2")
     if tau < 1:
         raise DomainError("LEVELSET requires tau >= 1")
-    counts = ctx.counts(ctx.A, B, "div")
-    level = ceil(tau)  # integer counts against an integer level
-    lhs = Fraction(sum(1 for c in counts.tolist() if c >= level))
+    lhs = _level_count(ctx.counts(ctx.A, B, "div"), tau)
     nsumB = len(ctx.counts(B, B, "add"))
-    rhs = Fraction(ctx.nsum * nsumB) / tau**2
-    return InequalityReport(id="LEVELSET", lhs=lhs, rhs=rhs,
-                            ratio=lhs / rhs, explicit=False, passed=None,
-                            inputs=_digest(ctx.A))
+    return _hidden(lhs, Fraction(ctx.nsum * nsumB) / tau**2)
 
 
 def _energy_sumset(ctx, params):
@@ -191,13 +171,12 @@ def _energy_sumset(ctx, params):
     if B.has_zero():
         raise DomainError("entry requires 0 not in B")
     c = ctx.counts(ctx.A, B, "mul")
-    lhs = Fraction(int(c @ c))
+    lhs = int(c @ c)
     nsumB = len(ctx.counts(B, B, "add"))
     logm = log2_frac(Fraction(min(len(ctx.A), len(B))))
     if logm == 0:
         raise DomainError("ENERGY-SUMSET requires min size 2")
-    return _ratio("ENERGY-SUMSET", ctx, lhs,
-                  [(Fraction(ctx.nsum * nsumB), Fraction(1)), (logm, Fraction(1))])
+    return _ratio(lhs, [(ctx.nsum * nsumB, Fraction(1)), (logm, Fraction(1))])
 
 
 def _da_level(ctx, params):
@@ -206,12 +185,8 @@ def _da_level(ctx, params):
     tau = Fraction(params.get("tau", 2))
     if tau < 1:
         raise DomainError("DA-LEVEL requires tau >= 1")
-    counts = ctx.counts(ctx.A, B, "add")
-    level = ceil(tau)  # integer counts against an integer level
-    lhs = Fraction(sum(1 for c in counts.tolist() if c >= level))
-    rhs = ctx.dhat.d_upper * ctx.n * Fraction(len(B)) ** 2 / tau**3
-    return InequalityReport(id="DA-LEVEL", lhs=lhs, rhs=rhs, ratio=lhs / rhs,
-                            explicit=False, passed=None, inputs=_digest(ctx.A))
+    lhs = _level_count(ctx.counts(ctx.A, B, "add"), tau)
+    return _hidden(lhs, ctx.dhat.d_upper * ctx.n * Fraction(len(B)) ** 2 / tau**3)
 
 
 def _gen_sigma(ctx, params):
@@ -223,70 +198,49 @@ def _gen_sigma(ctx, params):
     sig = sigma_count(coeffs[0], A1, coeffs[1], A2, coeffs[2], A3)
     d1 = (ctx.dhat if A1 is ctx.A else d_upper(A1)).d_upper
     lhs = Fraction(sig.count)
-    rep = _ratio("GEN-SIGMA", ctx, max(lhs, Fraction(1)),
-                 [(d1, Fraction(1, 3)),
-                  (Fraction(len(A1)), Fraction(1, 3)),
-                  (Fraction(len(A2)), Fraction(2, 3)),
-                  (Fraction(len(A3)), Fraction(2, 3))])
+    _, rhs, ratio, _, _ = _ratio(max(lhs, Fraction(1)),
+                                 [(d1, Fraction(1, 3)),
+                                  (len(A1), Fraction(1, 3)),
+                                  (len(A2), Fraction(2, 3)),
+                                  (len(A3), Fraction(2, 3))])
     # keep the genuine (possibly zero) solution count in the report
-    return InequalityReport(id="GEN-SIGMA", lhs=lhs, rhs=rep.rhs,
-                            ratio=rep.ratio if lhs > 0 else Fraction(0),
-                            explicit=False, passed=None, inputs=rep.inputs)
+    return lhs, rhs, ratio if lhs > 0 else Fraction(0), False, None
 
 
 def _er(ctx, params):
     _need(ctx)
-    lhs = Fraction(ctx.Ep) ** 4
-    return _ratio("ER", ctx, lhs,
-                  [(Fraction(min(ctx.nprod, ctx.nquot)), Fraction(1)),
-                   (Fraction(ctx.n), Fraction(10)),
+    return _ratio(Fraction(ctx.Ep) ** 4,
+                  [(min(ctx.nprod, ctx.nquot), Fraction(1)),
+                   (ctx.n, Fraction(10)),
                    (ctx.log2n, Fraction(1))])
 
 
 def _smallmd_energy(ctx, params):
     _need(ctx, nonzero=True)
-    return _ratio("SMALLMD-ENERGY", ctx, Fraction(ctx.Ex),
-                  [(ctx.K, Fraction(1, 4)),
-                   (Fraction(ctx.n), Fraction(5, 8)),
-                   (Fraction(ctx.nsum), Fraction(3, 2)),
-                   (ctx.log2n, Fraction(3, 4))])
+    return _ratio(ctx.Ex, [(ctx.K, Fraction(1, 4)),
+                           (ctx.n, Fraction(5, 8)),
+                           (ctx.nsum, Fraction(3, 2)),
+                           (ctx.log2n, Fraction(3, 4))])
 
 
-def _smallmd(ctx, params):
-    _need(ctx)
-    return _ratio("SMALLMD", ctx, Fraction(ctx.nsum),
-                  [(Fraction(ctx.n), Fraction(19, 12)),
-                   (ctx.K, Fraction(-5, 6)),
-                   (ctx.log2n, Fraction(-1, 2))])
-
-
-def _small2(ctx, params):
-    _need(ctx)
-    return _ratio("SMALL2", ctx, Fraction(ctx.nsum),
-                  [(Fraction(ctx.n), Fraction(49, 32)),
-                   (ctx.K, Fraction(-19, 32))])
-
-
-def _prop_crit(ctx, params, product_variant: bool):
+def _prop_crit(product: bool, ctx, params):
+    """E+ of AA (product) or of A/A against E×(A)^3 / (L^32 |A|^4)."""
     _need(ctx, nonzero=True)
-    rid = "PROP-CRIT-P" if product_variant else "PROP-CRIT-Q"
     cap = params.get("cap", QUOTIENT_ENERGY_CAP)
-    size = ctx.nprod if product_variant else ctx.nquot
+    size = ctx.nprod if product else ctx.nquot
     if size > cap:
-        raise ResourceError(f"{rid}: |derived set| = {size} exceeds cap {cap}")
-    big = FiniteSet.from_sorted(list(ctx.rep_counts("mul" if product_variant else "div")))
-    L = ctx.L_prod if product_variant else ctx.L_quot
-    lhs = Fraction(SetContext(big).Ex)
-    rhs = Fraction(ctx.Ex) ** 3 / (L**32 * Fraction(ctx.n) ** 4)
-    return InequalityReport(id=rid, lhs=lhs, rhs=rhs, ratio=lhs / rhs,
-                            explicit=False, passed=None, inputs=_digest(ctx.A))
+        raise ResourceError(f"PROP-CRIT-{'P' if product else 'Q'}: |derived set| = {size} "
+                            f"exceeds cap {cap}")
+    big = FiniteSet.from_sorted(list(ctx.rep_counts("mul" if product else "div")))
+    L = ctx.L_prod if product else ctx.L_quot
+    return _hidden(Fraction(SetContext(big).Ex),
+                   Fraction(ctx.Ex) ** 3 / (L**32 * Fraction(ctx.n) ** 4))
 
 
 def _solplus(ctx, params):
     _need(ctx)
-    lhs = Fraction(max(ctx.nsum, min(ctx.nprod, ctx.nquot)))
-    return _ratio("SOLPLUS", ctx, lhs,
-                  [(Fraction(ctx.n), Fraction(4, 3) + SOLPLUS_C)])
+    return _ratio(max(ctx.nsum, min(ctx.nprod, ctx.nquot)),
+                  [(ctx.n, Fraction(4, 3) + SOLPLUS_C)])
 
 
 def _lemma3(ctx, params):
@@ -307,20 +261,19 @@ def _lemma3(ctx, params):
         passed = bool(cluster.lemma_pass) and cluster.sums_total <= ctx.nsum**2
     if not cluster.sums_in_box:
         passed = False
-    ratio = lhs / rhs if rhs > 0 else lhs
-    return InequalityReport(id="LEMMA3", lhs=lhs, rhs=rhs, ratio=ratio,
-                            explicit=True, passed=passed, inputs=_digest(ctx.A))
+    return lhs, rhs, lhs / rhs if rhs > 0 else lhs, True, passed
 
 
+#: the |A+A| >= |A|^a K^b (log2 |A|)^c bounds carry their exponents (a, b[, c])
 REGISTRY = {
-    "SOLY-PROD": _soly_prod,
-    "SOLY-QUOT": _soly_quot,
+    "SOLY-PROD": partial(_solymosi, "nprod"),
+    "SOLY-QUOT": partial(_solymosi, "nquot"),
     "SOLY-MAX": _soly_max,
-    "COR-SOL": _cor_sol,
-    "PREV": _prev,
+    "COR-SOL": _sumset_bound("3/2", "-1/2"),
+    "PREV": _sumset_bound("58/37", "-42/37"),
     "PREV-DA": _prev_da,
-    "MAIN-A": _main_a,
-    "MAIN-B": _main_b,
+    "MAIN-A": _sumset_bound("19/12", "-5/6"),
+    "MAIN-B": _sumset_bound("49/32", "-19/32"),
     "CS-SUBS": _cs_subs,
     "LEVELSET": _levelset,
     "ENERGY-SUMSET": _energy_sumset,
@@ -328,10 +281,10 @@ REGISTRY = {
     "GEN-SIGMA": _gen_sigma,
     "ER": _er,
     "SMALLMD-ENERGY": _smallmd_energy,
-    "SMALLMD": _smallmd,
-    "SMALL2": _small2,
-    "PROP-CRIT-Q": lambda ctx, p: _prop_crit(ctx, p, False),
-    "PROP-CRIT-P": lambda ctx, p: _prop_crit(ctx, p, True),
+    "SMALLMD": _sumset_bound("19/12", "-5/6", "-1/2"),
+    "SMALL2": _sumset_bound("49/32", "-19/32"),
+    "PROP-CRIT-Q": partial(_prop_crit, False),
+    "PROP-CRIT-P": partial(_prop_crit, True),
     "SOLPLUS": _solplus,
     "LEMMA3": _lemma3,
 }
@@ -344,7 +297,9 @@ def evaluate(rid: str, A: FiniteSet, params: dict | None = None,
         raise DomainError(f"unknown registry id {rid!r}")
     if ctx is None:
         ctx = SetContext(A)
-    return REGISTRY[rid](ctx, params or {})
+    lhs, rhs, ratio, explicit, passed = REGISTRY[rid](ctx, params or {})
+    return InequalityReport(id=rid, lhs=lhs, rhs=rhs, ratio=ratio, explicit=explicit,
+                            passed=passed, inputs=_digest(ctx.A))
 
 
 def verify_suite(A: FiniteSet, ids: list[str] | None = None,

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -70,6 +71,29 @@ def test_sigma_count_matches_brute():
 def test_sigma_count_scaling_invariance(c):
     base = sigma_count(1, A123, 2, A123, -3, A123).count
     assert sigma_count(c, A123, 2 * c, A123, -3 * c, A123).count == base
+
+
+signed_terms = st.one_of(
+    st.fractions(min_value=-12, max_value=12, max_denominator=6),
+    st.integers(2**31 - 3, 2**31 + 3).map(Fraction),
+    st.integers(-2**40, 2**40).map(lambda v: Fraction(v, 7)))
+sigma_sets = st.sets(signed_terms, min_size=1, max_size=5).map(FiniteSet)
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool)
+
+
+@given(sigma_sets, sigma_sets, sigma_sets, st.tuples(coefficients, coefficients, coefficients),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_sigma_count_matches_brute_on_signed_rationals(A1, A2, A3, coeffs, solvable):
+    a1, a2, a3 = coeffs
+    if solvable:
+        # put a solution in: x3 = -(a1 x1 + a2 x2) / a3
+        x1, x2 = A1.min(), A2.max()
+        A3 = A3.union(FiniteSet([-(a1 * x1 + a2 * x2) / a3]))
+    got = sigma_count(a1, A1, a2, A2, a3, A3)
+    assert got == SigmaResult(count=sigma_brute(a1, A1, a2, A2, a3, A3),
+                              coefficients=(a1, a2, a3))
+    assert not solvable or got.count >= 1
 
 
 # -- sigma_max -------------------------------------------------------------
@@ -229,23 +253,28 @@ def test_collinear_python_fallback_agrees():
     assert collinear_triples(pts) == collinear_triples_brute(pts)
 
 
-@pytest.mark.parametrize("span, path", [
-    (2**30 - 1, "_distinct_collinear_numpy"),
-    (2**30, "_distinct_collinear_python"),
-])
-def test_collinear_direction_keys_at_the_int64_boundary(span, path, monkeypatch):
-    # The numpy path keys a reduced direction (dx, dy) as dx*(4*span+3) + dy.
+def tile_dtypes(monkeypatch) -> list:
+    """Records the dtype of the arrays each call of the tile routine gets."""
+    seen, tiles = [], counting._distinct_collinear
+
+    def spy(X, Y):
+        seen.append((X.dtype, Y.dtype))
+        return tiles(X, Y)
+
+    monkeypatch.setattr(counting, "_distinct_collinear", spy)
+    return seen
+
+
+@pytest.mark.parametrize("span, dtype", [(2**30 - 1, np.int64), (2**30, object)])
+def test_collinear_direction_keys_at_the_int64_boundary(span, dtype, monkeypatch):
+    # The int64 tiles key a reduced direction (dx, dy) as dx*(4*span+3) + dy.
     # From (s, s-1) to (-s, -s) the direction is (2s, 2s-1), already reduced,
     # so at s = 2^30 - 1 the key is 8s^2 + 8s - 1 = 2^63 - 2^33 - 1.
     s = span
     pts = [(-s, -s), (s, s - 1), (0, 0), (s, s), (s, -s), (-s, s), (1, s), (0, -s)]
-    other = ({"_distinct_collinear_numpy", "_distinct_collinear_python"} - {path}).pop()
-
-    def wrong_path(xs, ys):
-        raise AssertionError(f"span {span} routed to {other}")
-
-    monkeypatch.setattr(counting, other, wrong_path)
+    seen = tile_dtypes(monkeypatch)
     assert collinear_triples(pts) == collinear_triples_brute(pts)
+    assert seen == [(np.dtype(dtype), np.dtype(dtype))]
 
 
 def test_collinear_python_path_on_a_span_2_31_grid(monkeypatch):
@@ -253,12 +282,9 @@ def test_collinear_python_path_on_a_span_2_31_grid(monkeypatch):
     # column a = 0, the row b = 0 and the main diagonal keep 4 or 5 points
     s = 2**29
     pts = [(a * s, b * s) for a in range(5) for b in range(5) if a * b % 3 != 1]
-
-    def wrong_path(xs, ys):
-        raise AssertionError("span 2^31 routed to _distinct_collinear_numpy")
-
-    monkeypatch.setattr(counting, "_distinct_collinear_numpy", wrong_path)
+    seen = tile_dtypes(monkeypatch)
     assert collinear_triples(pts) == collinear_triples_brute(pts)
+    assert seen == [(np.dtype(object), np.dtype(object))]
 
 
 def _respell(v):

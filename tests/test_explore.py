@@ -65,14 +65,6 @@ def test_composite_generators(tmp_path):
         == FiniteSet([5, 6])
 
 
-def test_generator_spec_json_round_trip():
-    spec = GeneratorSpec("ap_times_gp", {
-        "ap": GeneratorSpec("ap", {"n": 3, "start": 1, "step": 1}),
-        "gp": GeneratorSpec("gp", {"n": 2, "start": 1, "ratio": 4})})
-    from sumprod.explore import _spec_from_json
-    assert generate(_spec_from_json(spec.to_json_dict())) == generate(spec)
-
-
 def test_mutate():
     A = FiniteSet([1, 2, 3])
     ground = FiniteSet(range(1, 11))

@@ -1,6 +1,8 @@
 """Only `stats` reads a pair-kernel result: no other module of the package
 imports a private name of `stats` (`_pair_keys`, `_ordered`, ...), takes
-one as an attribute of it, or reads a private member of a `SetContext`."""
+one as an attribute of it, or reads a private member of a `SetContext`.
+Only `evaluate` and `verify_suite` build an `InequalityReport`: the registry
+entries return numbers."""
 
 import ast
 from pathlib import Path
@@ -49,3 +51,31 @@ def test_the_checker_sees_both_kinds_of_reach():
 def test_no_module_but_stats_reaches_a_private_stats_name(path):
     found = private_stats_names(path.read_text(encoding="utf-8"), context_private_members())
     assert not found, f"{path.name} reaches the stats internals {sorted(found)}"
+
+
+REPORT_BUILDERS = {"evaluate", "verify_suite"}
+
+
+def report_builders(source: str) -> set[str]:
+    """The top-level definitions of a module (``<module>`` for the rest) that
+    construct an `InequalityReport` or call `_digest`."""
+    found = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            ) in ("InequalityReport", "_digest"):
+                found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_the_checker_sees_every_report_builder():
+    assert report_builders("def entry(ctx, p):\n    return InequalityReport(id='X')") == {"entry"}
+    assert report_builders("def f():\n    def g():\n        return _digest(A)") == {"f"}
+    assert report_builders("R = {'X': lambda c, p: verify.InequalityReport()}") == {"<module>"}
+    assert report_builders("def entry(ctx, p):\n    return _explicit(1, 2)") == set()
+
+
+def test_only_evaluate_and_verify_suite_build_reports():
+    found = report_builders((SRC / "verify.py").read_text(encoding="utf-8"))
+    assert found <= REPORT_BUILDERS, f"{sorted(found - REPORT_BUILDERS)} build reports"

@@ -3,6 +3,7 @@
 import json
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +111,18 @@ def test_report_json_round_trip():
     assert by_id["SOLY-PROD"]["rhs"] == "81/8"
     assert by_id["SOLY-PROD"]["pass"] is True
     assert by_id["LEVELSET"]["pass"] is None
+
+
+# the canonical report of the whole suite on four sets, byte for byte
+GOLDEN_REPORTS = json.loads((Path(__file__).parent / "golden_reports.json")
+                            .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("values", sorted(GOLDEN_REPORTS))
+def test_verify_suite_reports_are_pinned(values):
+    A = FiniteSet(Fraction(v) for v in values.split(","))
+    expected = json.dumps(GOLDEN_REPORTS[values], sort_keys=True, separators=(",", ":"))
+    assert report_json(verify_suite(A)) == expected
 
 
 def test_error_aggregation():
