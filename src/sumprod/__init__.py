@@ -23,21 +23,16 @@ from .exactset import (
     ParseError,
     ResourceError,
     Scalar,
-    affine_image,
     as_scalar,
     dilate,
     format_scalar,
     load_set_file,
     parse_scalar,
     parse_set_text,
-    rational_normalize,
-    set_build,
-    translate,
 )
 from .explore import (
     ExtremalRecord,
     GeneratorSpec,
-    bsg_subset_oracle,
     corpus_load,
     corpus_store,
     generate,
@@ -65,6 +60,7 @@ from .verify import (
     InequalityReport,
     SmallLReport,
     SolPlusTrace,
+    bsg_subset_oracle,
     evaluate,
     katz_koester_check,
     report_json,

@@ -44,26 +44,25 @@ def int_nth_root(n: int, k: int) -> int:
     return x
 
 
-def nth_root_frac(value: Fraction, k: int, digits: int = DISPLAY_DIGITS) -> Fraction:
+def nth_root_frac(value: Fraction, k: int) -> Fraction:
     """Deterministic decimal approximation of value^(1/k), floor-rounded."""
     if value < 0:
         raise ValueError("negative radicand")
-    scale = 10 ** digits
+    scale = 10 ** DISPLAY_DIGITS
     scaled = value.numerator * scale**k // value.denominator
     return Fraction(int_nth_root(scaled, k), scale)
 
 
-def sqrt_frac(value: Fraction, digits: int = DISPLAY_DIGITS) -> Fraction:
-    return nth_root_frac(value, 2, digits)
+def sqrt_frac(value: Fraction) -> Fraction:
+    return nth_root_frac(value, 2)
 
 
-def _mpmath_decimal(x, digits: int) -> Fraction:
-    scale = 10 ** digits
+def _mpmath_decimal(x) -> Fraction:
+    scale = 10 ** DISPLAY_DIGITS
     return Fraction(int(mpmath.floor(x * scale)), scale)
 
 
-def product_pow(factors: list[tuple[Fraction, Fraction]],
-                digits: int = DISPLAY_DIGITS) -> Fraction:
+def product_pow(factors: list[tuple[Fraction, Fraction]]) -> Fraction:
     """Deterministic approximation of prod base_i^{exp_i} for positive bases.
 
     When the common denominator of the exponents is small the value is
@@ -79,17 +78,17 @@ def product_pow(factors: list[tuple[Fraction, Fraction]],
         acc = Fraction(1)
         for b, e in factors:
             acc *= b ** int(e * d)
-        return nth_root_frac(acc, d, digits)
+        return nth_root_frac(acc, d)
     with mpmath.workdps(_MPMATH_DPS):
         acc = mpmath.mpf(1)
         for b, e in factors:
             bb = mpmath.mpf(b.numerator) / b.denominator
             ee = mpmath.mpf(e.numerator) / e.denominator
             acc *= mpmath.power(bb, ee)
-        return _mpmath_decimal(acc, digits)
+        return _mpmath_decimal(acc)
 
 
-def log2_frac(value: Fraction, digits: int = DISPLAY_DIGITS) -> Fraction:
+def log2_frac(value: Fraction) -> Fraction:
     """Deterministic decimal approximation of log2(value), value > 0."""
     value = Fraction(value)
     if value <= 0:
@@ -99,4 +98,4 @@ def log2_frac(value: Fraction, digits: int = DISPLAY_DIGITS) -> Fraction:
         return Fraction(num.bit_length() - 1)
     with mpmath.workdps(_MPMATH_DPS):
         x = mpmath.mpf(num) / den
-        return _mpmath_decimal(mpmath.log(x, 2), digits)
+        return _mpmath_decimal(mpmath.log(x, 2))

@@ -26,6 +26,7 @@ from .stats import SetContext
 
 SIGMA_SIZE_LIMIT = 1_000_000
 SIGMA_PAIR_BUDGET = 5_000_000
+CLUSTER_TRIPLE_BUDGET = 2_000
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,13 @@ def sigma_max(A1: FiniteSet, A2: FiniteSet, A3: FiniteSet,
     lexicographically smallest (a2, a3) among the maximal intersections
     and the `_line_candidates` points of maximal lines.
     """
+    return _sigma_incidences(*_sigma_lines(A1, A2, A3, pair_budget))
+
+
+def _sigma_lines(A1: FiniteSet, A2: FiniteSet, A3: FiniteSet,
+                 pair_budget: int) -> tuple[Counter, int]:
+    """The weighted lines and the all-zero count `base` of `sigma_max`, after
+    both of its refusals; no incidence is counted yet."""
     size = len(A1) * len(A2) * len(A3)
     if size > SIGMA_SIZE_LIMIT:
         raise ResourceError(f"sigma_max input too large: {size}")
@@ -112,7 +120,11 @@ def sigma_max(A1: FiniteSet, A2: FiniteSet, A3: FiniteSet,
     if comb(len(lines), 2) > pair_budget:
         raise ResourceError(
             f"sigma_max candidate enumeration too large: {len(lines)} lines")
+    return lines, base
 
+
+def _sigma_incidences(lines: Counter, base: int) -> SigmaResult:
+    """`sigma_max` from its weighted lines by integer incidence counting."""
     # the axes meet every other line at b = 0 or c = 0, so they drop out
     free = [(ln, w) for ln, w in lines.items() if ln not in ((1, 0, 0), (0, 1, 0))]
     best = max((w for _, w in free), default=0)
@@ -217,11 +229,14 @@ def _distinct_collinear(X, Y) -> int:
     return 3 * total
 
 
-def collinear_triples_brute(points, limit: int = 3_000_000) -> int:
+BRUTE_TRIPLE_LIMIT = 3_000_000
+
+
+def collinear_triples_brute(points) -> int:
     """O(|P|^3) oracle for collinear_triples."""
     pts = _canonical_points(points)
     n = len(pts)
-    if n**3 > limit:
+    if n**3 > BRUTE_TRIPLE_LIMIT:
         raise ResourceError("brute-force triple enumeration too large")
     count = 0
     for p in pts:
@@ -260,35 +275,30 @@ class ClusterReport:
     slopes: FiniteSet
 
 
-def slice_slopes(A: FiniteSet, tau) -> dict:
-    """Fibers of the dyadic window tau < |A_lambda| <= 2*tau, as a dict."""
-    return SetContext(A).fibers(as_scalar(tau))
+def cluster_sigma(fibers: dict, slopes, pair_budget: int = SIGMA_PAIR_BUDGET) -> int | None:
+    """max sigma_max over distinct slope triples; None if fewer than 3 slopes.
 
-
-def cluster_sigma(fibers: dict, slopes, pair_budget: int = SIGMA_PAIR_BUDGET,
-                  size_limit: int = SIGMA_SIZE_LIMIT,
-                  triple_budget: int = 2_000) -> int | None:
-    """max sigma_max over distinct slope triples; None if fewer than 3 slopes."""
+    The lines of every triple are built, and refused if too many, before
+    any incidence is counted.
+    """
     slopes = sorted(slopes)
     if len(slopes) < 3:
         return None
-    if comb(len(slopes), 3) > triple_budget:
+    if comb(len(slopes), 3) > CLUSTER_TRIPLE_BUDGET:
         raise ResourceError(
             f"cluster sigma: {comb(len(slopes), 3)} slope triples exceed "
-            f"the budget {triple_budget}")
-    best = 0
+            f"the budget {CLUSTER_TRIPLE_BUDGET}")
+    line_sets = []
     for l1, l2, l3 in combinations(slopes, 3):
         f1, f2, f3 = fibers[l1], fibers[l2], fibers[l3]
-        if len(f1) * len(f2) * len(f3) > size_limit:
+        if len(f1) * len(f2) * len(f3) > SIGMA_SIZE_LIMIT:
             raise ResourceError("cluster sigma fibers too large")
-        best = max(best, sigma_max(f1, f2, f3, pair_budget=pair_budget).count)
-    return best
+        line_sets.append(_sigma_lines(f1, f2, f3, pair_budget))
+    return max(_sigma_incidences(*lines).count for lines in line_sets)
 
 
 def solymosi_cluster_report(A: FiniteSet, tau, M: int,
-                            S_sub: FiniteSet | None = None,
-                            pair_budget: int = SIGMA_PAIR_BUDGET,
-                            triple_budget: int = 2_000) -> ClusterReport:
+                            S_sub: FiniteSet | None = None) -> ClusterReport:
     """Cluster construction over M consecutive slopes of one dyadic window.
 
     Sorts the chosen slopes ascending, splits them into groups of M, and
@@ -296,11 +306,11 @@ def solymosi_cluster_report(A: FiniteSet, tau, M: int,
     point fibers {(x, lambda*x) : x in A_lambda} over distinct slope pairs.
     All sums are verified to land in (A+A) x (A+A).
     """
-    return _cluster_report(SetContext(A), tau, M, S_sub, pair_budget, triple_budget)
+    return _cluster_report(SetContext(A), tau, M, S_sub, SIGMA_PAIR_BUDGET)
 
 
 def _cluster_report(ctx: SetContext, tau, M: int, S_sub: FiniteSet | None,
-                    pair_budget: int, triple_budget: int = 2_000) -> ClusterReport:
+                    pair_budget: int) -> ClusterReport:
     """`solymosi_cluster_report` on the context's A, reading the fibers and A+A
     from it only once the slopes pass their checks."""
     tau, A = as_scalar(tau), ctx.A
@@ -323,8 +333,7 @@ def _cluster_report(ctx: SetContext, tau, M: int, S_sub: FiniteSet | None,
         raise DomainError("M exceeds the number of available slopes")
 
     fibers = ctx.fibers(tau)
-    sigma = cluster_sigma(fibers, slopes.elements, pair_budget=pair_budget,
-                          triple_budget=triple_budget)
+    sigma = cluster_sigma(fibers, slopes.elements, pair_budget=pair_budget)
 
     nsum, box = ctx.nsum, ctx.rep_counts("add")
     ordered = list(slopes.elements)

@@ -32,13 +32,6 @@ class ParseError(ValueError):
     """A set file could not be parsed."""
 
 
-def rational_normalize(p: int, q: int) -> Fraction:
-    """Canonical rational p/q: reduced, positive denominator, 0 -> 0/1."""
-    if q == 0:
-        raise DomainError("zero denominator")
-    return Fraction(p, q)
-
-
 def as_scalar(x) -> Fraction:
     """Coerce an int, Fraction or 'p/q' string to a canonical Scalar."""
     if isinstance(x, Fraction):
@@ -162,38 +155,13 @@ class FiniteSet:
         common = self._members & other._members
         return FiniteSet(common) if common else None
 
-    def subset(self, values: Iterable) -> "FiniteSet":
-        sub = FiniteSet(values)
-        if not sub <= self:
-            raise DomainError("not a subset")
-        return sub
-
-
-def set_build(values: Sequence) -> FiniteSet:
-    """Sorted, deduplicated FiniteSet; logs how many duplicates dropped."""
-    if not values:
-        raise DomainError("empty set")
-    out = FiniteSet(values)
-    dropped = len(values) - len(out)
-    if dropped:
-        log.debug("set_build dropped %d duplicate value(s)", dropped)
-    return out
-
-
-def affine_image(A: FiniteSet, alpha, beta=ZERO) -> FiniteSet:
-    """{alpha*a + beta : a in A}; alpha must be nonzero so |image| = |A|."""
-    alpha, beta = as_scalar(alpha), as_scalar(beta)
-    if alpha == 0:
-        raise DomainError("degenerate dilation")
-    return FiniteSet(alpha * a + beta for a in A)
-
 
 def dilate(A: FiniteSet, alpha) -> FiniteSet:
-    return affine_image(A, alpha, ZERO)
-
-
-def translate(A: FiniteSet, beta) -> FiniteSet:
-    return affine_image(A, ONE, beta)
+    """{alpha*a : a in A}; alpha must be nonzero so |image| = |A|."""
+    alpha = as_scalar(alpha)
+    if alpha == 0:
+        raise DomainError("degenerate dilation")
+    return FiniteSet(alpha * a for a in A)
 
 
 # -- integer scaling ------------------------------------------------------

@@ -2,10 +2,9 @@
 
 Generators cover the canonical tightness witnesses (arithmetic and
 geometric progressions and their products) plus seeded random families.
-`search_extremal` hunts for sets where a registry ratio is extremal, the
-exhaustive subset oracle stands in for the Balog-Szemeredi-Gowers step at
-toy scale, and best-known records persist to an append-only JSONL corpus
-that re-verifies itself on load.
+`search_extremal` hunts for sets where a registry ratio is extremal, and
+best-known records persist to an append-only JSONL corpus that re-verifies
+itself on load.  Every ratio comes from `verify.evaluate`.
 """
 
 from __future__ import annotations
@@ -18,21 +17,14 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .exactset import (
-    DomainError,
-    FiniteSet,
-    ParseError,
-    ResourceError,
-    format_scalar,
-    load_set_file,
-    parse_scalar,
-)
-from .stats import pair_counts, productset
+from .exactset import DomainError, FiniteSet, ParseError, format_scalar, parse_scalar
+from .stats import productset
+from .verify import evaluate
 
 ARTIFACT_VERSION = "0.1.0"
 
 _RANDOM_KINDS = ("random_integer", "random_rational")
-_KINDS = ("ap", "gp", "ap_times_gp", "union", "custom_file") + _RANDOM_KINDS
+_KINDS = ("ap", "gp", "ap_times_gp") + _RANDOM_KINDS
 
 
 @dataclass(frozen=True)
@@ -67,16 +59,6 @@ def generate(spec: GeneratorSpec) -> FiniteSet:
 
     if kind == "ap_times_gp":
         return productset(generate(p["ap"]), generate(p["gp"]))
-
-    if kind == "union":
-        operands = [generate(o) for o in p["operands"]]
-        out = operands[0]
-        for o in operands[1:]:
-            out = out.union(o)
-        return out
-
-    if kind == "custom_file":
-        return load_set_file(p["path"])
 
     n, span = int(p["n"]), int(p.get("range", 100))
     if n < 2:
@@ -143,9 +125,8 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _ratio_of(inequality_id: str, A: FiniteSet, params) -> Fraction:
-    from . import verify
-    return verify.evaluate(inequality_id, A, params).ratio
+def _ratio_of(inequality_id: str, A: FiniteSet) -> Fraction:
+    return evaluate(inequality_id, A).ratio
 
 
 def _better(maximize: bool, cand, best) -> bool:
@@ -163,15 +144,14 @@ def search_extremal(inequality_id: str, n: int, mode: str,
 
     Exhaustive mode enumerates n-subsets of config['ground'] in
     lexicographic order, stopping (with a truncation flag) at
-    config['budget'] evaluations.  Hillclimb mode runs seeded
-    mutate-and-accept walks, restarting config.get('restarts', 1) times;
+    config['budget'] evaluations.  Hillclimb mode runs
+    config.get('restarts', 1) >= 1 seeded mutate-and-accept walks;
     equal-ratio moves are accepted with probability 1/2 to drift along
     plateaus.
     """
     ground: FiniteSet = config["ground"]
     budget = int(config.get("budget", 10_000))
     maximize = bool(config.get("maximize", False))
-    params = config.get("params")
     if n < 2 or n > len(ground):
         raise DomainError("need 2 <= n <= |ground|")
 
@@ -187,7 +167,7 @@ def search_extremal(inequality_id: str, n: int, mode: str,
                 break
             A = FiniteSet(combo)
             evaluated += 1
-            cand = (_ratio_of(inequality_id, A, params), A)
+            cand = (_ratio_of(inequality_id, A), A)
             if _better(maximize, cand, best):
                 best = cand
         generator = {"mode": "exhaustive", "ground": [format_scalar(x) for x in ground],
@@ -198,17 +178,19 @@ def search_extremal(inequality_id: str, n: int, mode: str,
             raise DomainError(f"hillclimb search needs budget >= 0, got {budget}")
         seed = int(config["seed"])
         restarts = int(config.get("restarts", 1))
+        if restarts < 1:
+            raise DomainError(f"hillclimb search needs restarts >= 1, got {restarts}")
         rng = random.Random(seed)
-        for _ in range(max(1, restarts)):
+        for _ in range(restarts):
             A = FiniteSet(rng.sample(ground.elements, n))
-            cur = (_ratio_of(inequality_id, A, params), A)
+            cur = (_ratio_of(inequality_id, A), A)
             if _better(maximize, cur, best):
                 best = cur
             for _ in range(budget):
                 B, moved = mutate(cur[1], ground, rng.randrange(1 << 30))
                 if not moved:
                     break
-                cand = (_ratio_of(inequality_id, B, params), B)
+                cand = (_ratio_of(inequality_id, B), B)
                 accept = _better(maximize, cand, cur) or (
                     cand[0] == cur[0] and rng.random() < 0.5)
                 if accept:
@@ -225,35 +207,6 @@ def search_extremal(inequality_id: str, n: int, mode: str,
                           timestamp=_now(), truncated=truncated)
 
 
-# -- exhaustive stand-in for the dense-subset theorem ----------------------
-
-def bsg_subset_oracle(S: FiniteSet, max_size: int = 14) -> tuple[FiniteSet, Fraction]:
-    """Minimizer of |S''/S''| * |S|^2 / |S''|^3 over nonempty S'' ⊆ S.
-
-    Ties go to the larger subset, then lexicographically.  Exhaustive, so
-    |S| is capped at max_size <= 14.
-    """
-    if max_size > 14:
-        raise DomainError("max_size capped at 14")
-    if len(S) < 2:
-        raise DomainError("oracle requires |S| >= 2")
-    if S.has_zero():
-        raise DomainError("oracle requires 0 not in S")
-    if len(S) > max_size:
-        raise ResourceError(f"|S| = {len(S)} exceeds max_size {max_size}")
-    n2 = Fraction(len(S)) ** 2
-    best = None
-    for k in range(len(S), 0, -1):
-        for combo in combinations(S.elements, k):
-            sub = FiniteSet(combo)
-            obj = len(pair_counts(sub, sub, "div")[0]) * n2 / Fraction(k) ** 3
-            if best is None or obj < best[0] or (
-                    obj == best[0] and (k > len(best[1]) or
-                                        (k == len(best[1]) and sub < best[1]))):
-                best = (obj, sub)
-    return best[1], best[0]
-
-
 # -- corpus ----------------------------------------------------------------
 
 def corpus_store(record: ExtremalRecord, path) -> None:
@@ -263,14 +216,13 @@ def corpus_store(record: ExtremalRecord, path) -> None:
                             separators=(",", ":")) + "\n")
 
 
-def corpus_load(path, params_map: dict | None = None) -> list[ExtremalRecord]:
+def corpus_load(path) -> list[ExtremalRecord]:
     """Load the corpus, re-verifying every stored ratio.
 
     A record whose stored ratio no longer matches recomputation is kept
     but flagged with drift=True.  A line that is not a record raises
     ParseError naming the path and the line number.
     """
-    params_map = params_map or {}
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -291,9 +243,7 @@ def corpus_load(path, params_map: dict | None = None) -> list[ExtremalRecord]:
                 timestamp=obj.get("timestamp", ""),
                 artifact_version=obj.get("artifact_version", ARTIFACT_VERSION),
                 truncated=bool(obj.get("truncated", False)))
-            fresh = _ratio_of(rec.inequality_id, A,
-                              params_map.get(rec.inequality_id))
-            if fresh != stored:
+            if _ratio_of(rec.inequality_id, A) != stored:
                 rec = replace(rec, drift=True)
             records.append(rec)
     return records

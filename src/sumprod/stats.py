@@ -36,6 +36,7 @@ from .exactset import (DomainError, FiniteSet, ResourceError, Scalar, as_scalar,
 _INT64_SAFE = 1 << 31
 _OUTER = {"add": np.add.outer, "sub": np.subtract.outer, "mul": np.multiply.outer}
 _D_UPPER_PAIR_BUDGET = 4_000_000
+QUADRUPLE_LIMIT = 250_000
 
 
 def _counted(keys) -> tuple[np.ndarray, np.ndarray]:
@@ -181,7 +182,7 @@ def energy(A: FiniteSet, B: FiniteSet | None = None, mode: str = "add") -> int:
 
 
 def energy_by_quadruples(A: FiniteSet, B: FiniteSet | None = None,
-                         mode: str = "add", limit: int = 250_000) -> int:
+                         mode: str = "add") -> int:
     """Independent O(|A|^2|B|^2) oracle for `energy`: enumerate quadruples."""
     if B is None:
         B = A
@@ -189,7 +190,7 @@ def energy_by_quadruples(A: FiniteSet, B: FiniteSet | None = None,
         raise DomainError(f"energy mode must be add or mul, got {mode!r}")
     if mode == "mul" and (A.has_zero() or B.has_zero()):
         raise DomainError("zero element in multiplicative energy")
-    if (len(A) * len(B)) ** 2 > limit:
+    if (len(A) * len(B)) ** 2 > QUADRUPLE_LIMIT:
         raise ResourceError("quadruple enumeration too large")
     count = 0
     for a1 in A:
@@ -264,35 +265,29 @@ def _ratio_for(A: FiniteSet, C: FiniteSet) -> Fraction:
     return Fraction(len(pair_counts(A, C, "mul")[0]) ** 2, len(A) * len(C))
 
 
-def d_upper(A: FiniteSet, candidates: list[FiniteSet] = (),
-            pair_budget: int = _D_UPPER_PAIR_BUDGET) -> DoublingProfile:
-    """Best upper bound on the doubling functional over candidate sets C.
+def d_upper(A: FiniteSet) -> DoublingProfile:
+    """Best upper bound on the doubling functional over the candidate sets
+    {1}, A, A^{-1} and A/A.
 
-    Always tries the defaults {1}, A, A^{-1} and A/A in addition to any
-    supplied candidates.  Candidates whose |A||C| exceeds pair_budget are
-    skipped (this only weakens the bound, never unsound).  The {1} and
-    {A, A^{-1}} defaults guarantee d_upper <= min(|A|, K_mul^2).
+    A candidate whose |A||C| exceeds 4 000 000 pairs is skipped (this only
+    weakens the bound, never unsound).  The {1} and {A, A^{-1}} candidates
+    guarantee d_upper <= min(|A|, K_mul^2).
     """
-    return _doubling(SetContext(A), candidates, pair_budget)
+    return SetContext(A).dhat
 
 
-def _doubling(ctx: SetContext, candidates, pair_budget: int) -> DoublingProfile:
-    """`d_upper(ctx.A, candidates, pair_budget)` from the context's |AA|, |A/A| and A/A."""
+def _doubling(ctx: SetContext) -> DoublingProfile:
+    """`d_upper(ctx.A)` from the context's |AA|, |A/A| and A/A."""
     A, n = ctx.A, ctx.n
     if A.has_zero():
         raise DomainError("doubling profile requires 0 not in A")
     # |A·{1}| = |A|, |A·A| = |AA| and A·A^{-1} = A/A: no new pairs to count
     scored = [(Fraction(size**2, n * len(C)), C) for C, size in
               ((FiniteSet([1]), n), (A, ctx.nprod), (A.inverse(), ctx.nquot))
-              if n * len(C) <= pair_budget]
-    if n * ctx.nquot <= pair_budget:
+              if n * len(C) <= _D_UPPER_PAIR_BUDGET]
+    if n * ctx.nquot <= _D_UPPER_PAIR_BUDGET:
         AQ = FiniteSet.from_sorted(list(ctx.rep_counts("div")))
         scored.append((_ratio_for(A, AQ), AQ))
-    for C in candidates:
-        if C.has_zero():
-            raise DomainError("candidate contains zero")
-        if n * len(C) <= pair_budget:
-            scored.append((_ratio_for(A, C), C))
     best, witness = min(scored, key=lambda rc: rc[0], default=(None, None))
     return DoublingProfile(K_mul=ctx.K, d_upper=best, witness_C=witness)
 
@@ -419,7 +414,7 @@ class SetContext:
     @cached_property
     def dhat(self) -> DoublingProfile:
         """`d_upper(A)`, without counting |AA|, |A/A| or A/A again."""
-        return _doubling(self, (), _D_UPPER_PAIR_BUDGET)
+        return _doubling(self)
 
     @cached_property
     def log2n(self) -> Fraction:

@@ -5,7 +5,8 @@ pass/fail where the constant is explicit, an exact-rational tightness
 ratio where the statement hides a constant.  Each entry reads one
 `SetContext` and returns numbers; `evaluate` builds the report.  Also
 houses the executable low-L construction, the Katz-Koester inclusion test
-and the trace of the |A|^{4/3+c} argument at toy scale.
+and the trace of the |A|^{4/3+c} argument at toy scale, with the exhaustive
+subset oracle that stands in for its Balog-Szemeredi-Gowers step.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 from math import ceil
 
 from ._approx import log2_frac, product_pow
@@ -26,13 +28,15 @@ from .exactset import (
     Scalar,
     format_scalar,
 )
-from .stats import SetContext, d_upper
+from .stats import SetContext, d_upper, pair_counts
 
 #: exponent bump of the max{|A+A|,|AA|} >= |A|^{4/3+c} bound, just under
 #: the admissible supremum 1/20598
 SOLPLUS_C = Fraction(1, 20598) - Fraction(1, 10**6)
 
 QUOTIENT_ENERGY_CAP = 2000
+LEMMA3_PAIR_BUDGET = 200_000
+BSG_MAX_SIZE = 14  # the subset oracle enumerates all 2^|S| subsets
 
 
 @dataclass(frozen=True)
@@ -226,11 +230,10 @@ def _smallmd_energy(ctx, params):
 def _prop_crit(product: bool, ctx, params):
     """E+ of AA (product) or of A/A against E×(A)^3 / (L^32 |A|^4)."""
     _need(ctx, nonzero=True)
-    cap = params.get("cap", QUOTIENT_ENERGY_CAP)
     size = ctx.nprod if product else ctx.nquot
-    if size > cap:
+    if size > QUOTIENT_ENERGY_CAP:
         raise ResourceError(f"PROP-CRIT-{'P' if product else 'Q'}: |derived set| = {size} "
-                            f"exceeds cap {cap}")
+                            f"exceeds cap {QUOTIENT_ENERGY_CAP}")
     big = FiniteSet.from_sorted(list(ctx.rep_counts("mul" if product else "div")))
     L = ctx.L_prod if product else ctx.L_quot
     return _hidden(Fraction(SetContext(big).Ex),
@@ -252,7 +255,7 @@ def _lemma3(ctx, params):
             raise DomainError("LEMMA3: no qualifying dyadic slice")
         tau = chosen[0]
     cluster = _cluster_report(ctx, tau, params.get("M", 2), params.get("S_sub"),
-                              params.get("pair_budget", 200_000))
+                              LEMMA3_PAIR_BUDGET)
     lhs = Fraction(ctx.nsum) ** 2
     both = all(cluster.conditions_ok)
     rhs = cluster.lemma_rhs if (both and cluster.lemma_rhs is not None) else Fraction(0)
@@ -292,26 +295,26 @@ REGISTRY = {
 
 def evaluate(rid: str, A: FiniteSet, params: dict | None = None,
              ctx: SetContext | None = None) -> InequalityReport:
-    """Evaluate one registry entry on A."""
+    """Evaluate one registry entry on A; a given ctx must be A's."""
     if rid not in REGISTRY:
         raise DomainError(f"unknown registry id {rid!r}")
     if ctx is None:
         ctx = SetContext(A)
+    elif ctx.A != A:
+        raise DomainError("the context is for another set")
     lhs, rhs, ratio, explicit, passed = REGISTRY[rid](ctx, params or {})
     return InequalityReport(id=rid, lhs=lhs, rhs=rhs, ratio=ratio, explicit=explicit,
-                            passed=passed, inputs=_digest(ctx.A))
+                            passed=passed, inputs=_digest(A))
 
 
-def verify_suite(A: FiniteSet, ids: list[str] | None = None,
-                 params_map: dict | None = None) -> list[InequalityReport]:
+def verify_suite(A: FiniteSet, ids: list[str] | None = None) -> list[InequalityReport]:
     """Evaluate all (or selected) entries, aggregating per-entry errors."""
     ids = sorted(REGISTRY) if ids is None else list(ids)
-    params_map = params_map or {}
     ctx = SetContext(A)
     reports = []
     for rid in ids:
         try:
-            reports.append(evaluate(rid, A, params_map.get(rid), ctx=ctx))
+            reports.append(evaluate(rid, A, ctx=ctx))
         except (DomainError, ResourceError) as exc:
             reports.append(InequalityReport(id=rid, lhs=None, rhs=None,
                                             ratio=None, explicit=False,
@@ -441,10 +444,8 @@ class SolPlusTrace:
     A_prime: FiniteSet
 
 
-def solplus_trace(A: FiniteSet, max_bsg_size: int = 14) -> SolPlusTrace:
+def solplus_trace(A: FiniteSet) -> SolPlusTrace:
     """Trace L, L', eta and the dense-subset/dilation step on a small set."""
-    if max_bsg_size > 14:
-        raise DomainError("max_bsg_size capped at 14")
     ctx = SetContext(A)
     rep = _smallL(ctx)
     if rep.tau is None:
@@ -453,14 +454,13 @@ def solplus_trace(A: FiniteSet, max_bsg_size: int = 14) -> SolPlusTrace:
     eta = rep.L**-64 * ctx.Ex * rep.tau**6 / Fraction(ctx.nquot) ** 5
 
     S_prime = rep.S_prime
-    if len(S_prime) > max_bsg_size:
+    if len(S_prime) > BSG_MAX_SIZE:
         raise ResourceError(
-            f"|S'_tau| = {len(S_prime)} exceeds the subset-oracle cap {max_bsg_size}")
+            f"|S'_tau| = {len(S_prime)} exceeds the subset-oracle cap {BSG_MAX_SIZE}")
     if len(S_prime) < 2:
         S_dprime = S_prime
     else:
-        from .explore import bsg_subset_oracle
-        S_dprime, _ = bsg_subset_oracle(S_prime, max_bsg_size)
+        S_dprime, _ = bsg_subset_oracle(S_prime)
 
     best_a, best_set = None, None
     targets = set(S_dprime.elements)
@@ -471,3 +471,28 @@ def solplus_trace(A: FiniteSet, max_bsg_size: int = 14) -> SolPlusTrace:
     return SolPlusTrace(L=rep.L, L_prime=L_prime, eta=eta, tau=rep.tau,
                         S_prime=S_prime, S_doubleprime=S_dprime,
                         a_witness=best_a, A_prime=FiniteSet(best_set))
+
+
+def bsg_subset_oracle(S: FiniteSet) -> tuple[FiniteSet, Fraction]:
+    """Minimizer of |S''/S''| * |S|^2 / |S''|^3 over nonempty S'' ⊆ S.
+
+    Ties go to the larger subset, then lexicographically.  Exhaustive, so
+    |S| is capped at `BSG_MAX_SIZE`.
+    """
+    if len(S) < 2:
+        raise DomainError("oracle requires |S| >= 2")
+    if S.has_zero():
+        raise DomainError("oracle requires 0 not in S")
+    if len(S) > BSG_MAX_SIZE:
+        raise ResourceError(f"|S| = {len(S)} exceeds max_size {BSG_MAX_SIZE}")
+    n2 = Fraction(len(S)) ** 2
+    best = None
+    for k in range(len(S), 0, -1):
+        for combo in combinations(S.elements, k):
+            sub = FiniteSet(combo)
+            obj = len(pair_counts(sub, sub, "div")[0]) * n2 / Fraction(k) ** 3
+            if best is None or obj < best[0] or (
+                    obj == best[0] and (k > len(best[1]) or
+                                        (k == len(best[1]) and sub < best[1]))):
+                best = (obj, sub)
+    return best[1], best[0]

@@ -171,6 +171,17 @@ def test_explore_negative_hillclimb_budget_exit_1(capsys):
     assert err == "invalid input: hillclimb search needs budget >= 0, got -5\n"
 
 
+def test_explore_hillclimb_restarts_below_1_exit_1(capsys, monkeypatch):
+    def ratio_of(*args):
+        raise AssertionError("a set was evaluated before the restarts check")
+
+    monkeypatch.setattr(explore, "_ratio_of", ratio_of)
+    code, out, err = run(capsys, "explore", "--ineq", "SOLY-PROD", "--n", "3", "--mode",
+                         "hillclimb", "--seed", "1", "--restarts", "-5", "--json")
+    assert code == 1 and out == ""
+    assert err == "invalid input: hillclimb search needs restarts >= 1, got -5\n"
+
+
 @pytest.mark.parametrize("before", [None, b"", b'{"kept": "as is"}\n'])
 def test_refused_search_leaves_the_corpus_as_it_was(before, tmp_path, capsys):
     corpus = tmp_path / "new.jsonl"

@@ -27,7 +27,6 @@ from sumprod.counting import (
     SIGMA_PAIR_BUDGET,
     _line_candidates,
     cluster_sigma,
-    slice_slopes,
 )
 from sumprod.stats import SetContext
 
@@ -372,7 +371,7 @@ def test_cluster_box_check_sees_a_wrong_fiber_element(monkeypatch):
 
 
 def test_cluster_sigma_small_window():
-    fibers = slice_slopes(DIVISOR_RICH, 2)
+    fibers = SetContext(DIVISOR_RICH).fibers(2)
     assert len(fibers) >= 3
     sig = cluster_sigma(fibers, list(fibers))
     assert sig is not None and sig >= 1

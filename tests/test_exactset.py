@@ -1,4 +1,4 @@
-"""Scalar parsing, FiniteSet construction and the affine maps."""
+"""Scalar parsing, FiniteSet construction and dilation."""
 
 from fractions import Fraction
 
@@ -9,14 +9,10 @@ from sumprod import (
     DomainError,
     FiniteSet,
     ParseError,
-    affine_image,
     dilate,
     format_scalar,
     parse_scalar,
     parse_set_text,
-    rational_normalize,
-    set_build,
-    translate,
 )
 from sumprod.exactset import scaled_integers
 
@@ -24,17 +20,6 @@ rationals = st.fractions(
     min_value=-1000, max_value=1000,
     max_denominator=50)
 rational_sets = st.sets(rationals, min_size=1, max_size=12).map(FiniteSet)
-
-
-def test_rational_normalize_reduces():
-    assert rational_normalize(2, 4) == Fraction(1, 2)
-    assert rational_normalize(-3, -6) == Fraction(1, 2)
-    assert rational_normalize(0, 5) == Fraction(0)
-
-
-def test_rational_normalize_zero_denominator():
-    with pytest.raises(DomainError, match="zero denominator"):
-        rational_normalize(1, 0)
 
 
 def test_parse_scalar():
@@ -52,17 +37,8 @@ def test_format_scalar_round_trip():
         assert format_scalar(parse_scalar(s)) == s
 
 
-def test_set_build_dedupes_and_sorts():
-    A = set_build([3, 1, 2, 2])
-    assert A.elements == (Fraction(1), Fraction(2), Fraction(3))
-    assert set_build([5]).elements == (Fraction(5),)
-    assert len(set_build([Fraction(1, 2), Fraction(2, 4)])) == 1
-
-
 def test_empty_set_rejected():
     with pytest.raises(DomainError, match="empty set"):
-        set_build([])
-    with pytest.raises(DomainError):
         FiniteSet([])
 
 
@@ -72,9 +48,6 @@ def test_finite_set_basics():
     assert A.min() == 1 and A.max() == 3
     assert not A.has_zero() and A.is_positive()
     assert A.inverse() == FiniteSet([1, Fraction(1, 2), Fraction(1, 3)])
-    assert A.subset([1, 3]) == FiniteSet([1, 3])
-    with pytest.raises(DomainError, match="not a subset"):
-        A.subset([4])
 
 
 def test_inverse_rejects_zero():
@@ -90,9 +63,7 @@ def test_lexicographic_order():
 def test_affine_image():
     A = FiniteSet([1, 2, 3])
     assert dilate(A, 2) == FiniteSet([2, 4, 6])
-    assert translate(A, -1) == FiniteSet([0, 1, 2])
-    assert affine_image(A, Fraction(1, 2), 1) == FiniteSet(
-        [Fraction(3, 2), 2, Fraction(5, 2)])
+    assert dilate(A, "-1/2") == FiniteSet([Fraction(-3, 2), -1, Fraction(-1, 2)])
     with pytest.raises(DomainError, match="degenerate dilation"):
         dilate(A, 0)
 

@@ -2,7 +2,8 @@
 imports a private name of `stats` (`_pair_keys`, `_ordered`, ...), takes
 one as an attribute of it, or reads a private member of a `SetContext`.
 Only `evaluate` and `verify_suite` build an `InequalityReport`: the registry
-entries return numbers."""
+entries return numbers.  No function imports a sibling module: the modules
+import each other at their top, so an import cycle fails at import time."""
 
 import ast
 from pathlib import Path
@@ -79,3 +80,36 @@ def test_the_checker_sees_every_report_builder():
 def test_only_evaluate_and_verify_suite_build_reports():
     found = report_builders((SRC / "verify.py").read_text(encoding="utf-8"))
     assert found <= REPORT_BUILDERS, f"{sorted(found - REPORT_BUILDERS)} build reports"
+
+
+def function_level_imports(source: str) -> set[str]:
+    """The functions of a module that import a `sumprod` module in their body."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "sumprod"):
+                found.add(fn.name)
+            elif isinstance(node, ast.Import) and any(
+                    a.name.split(".")[0] == "sumprod" for a in node.names):
+                found.add(fn.name)
+    return found
+
+
+def test_the_checker_sees_every_function_level_import():
+    assert function_level_imports("def f():\n    from . import verify") == {"f"}
+    assert function_level_imports("def f():\n    from .explore import g") == {"f"}
+    assert function_level_imports("class C:\n    def m(self):\n        import sumprod.stats") \
+        == {"m"}
+    assert function_level_imports("def f():\n    def g():\n        from sumprod import x") \
+        == {"f", "g"}
+    assert function_level_imports("from .stats import SetContext\nimport json") == set()
+    assert function_level_imports("def f():\n    import json") == set()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_imports_a_sibling_module(path):
+    found = function_level_imports(path.read_text(encoding="utf-8"))
+    assert not found, f"{path.name}: {sorted(found)} import a sumprod module"

@@ -27,7 +27,6 @@ from sumprod import (
     stats,
     sumset,
 )
-from sumprod.counting import slice_slopes
 from sumprod.verify import SetContext
 
 A123 = FiniteSet([1, 2, 3])
@@ -307,7 +306,7 @@ def check_fibers(A):
         assert s.lambdas == (FiniteSet(expected) if expected else None)
     for tau in (0, Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(7, 3), 4, len(A)):
         expected = [(lam, f) for lam, f in oracle.items() if tau < len(f) <= 2 * tau]
-        assert list(slice_slopes(A, tau).items()) == expected
+        assert list(SetContext(A).fibers(tau).items()) == expected
 
 
 nonzero_rationals = signed_rationals.filter(bool)

@@ -79,6 +79,14 @@ def test_unknown_id():
         evaluate("NO-SUCH", A123)
 
 
+def test_a_context_for_another_set_is_refused():
+    with pytest.raises(DomainError, match="the context is for another set"):
+        evaluate("SOLY-PROD", A123, ctx=SetContext(POWERS4))
+    # an equal set is the same set
+    assert evaluate("SOLY-PROD", A123, ctx=SetContext(FiniteSet([3, 2, 1]))) \
+        == evaluate("SOLY-PROD", A123)
+
+
 def test_dilation_equivariance():
     B = dilate(A123, Fraction(5, 3))
     for rid in ("SOLY-PROD", "SOLY-QUOT", "SOLY-MAX", "COR-SOL", "MAIN-A",
@@ -222,9 +230,7 @@ def test_solplus_trace_powers():
     assert tr.S_doubleprime <= tr.S_prime
 
 
-def test_solplus_trace_guard():
-    with pytest.raises(DomainError, match="capped at 14"):
-        solplus_trace(A123, max_bsg_size=15)
+PRIMES64 = FiniteSet(p for p in range(2, 312) if all(p % d for d in range(2, p)))
 
 
 @pytest.mark.parametrize("rid", ["PROP-CRIT-P", "PROP-CRIT-Q"])
@@ -233,9 +239,10 @@ def test_prop_crit_checks_the_cap_before_building(rid, monkeypatch):
         raise AssertionError("the derived set was built before the cap check")
 
     monkeypatch.setattr(SetContext, "rep_counts", build)
-    size = 6 if rid == "PROP-CRIT-P" else 7  # |AA| and |A/A| of {1, 2, 3}
-    with pytest.raises(ResourceError, match=rf"{rid}: \|derived set\| = {size} exceeds cap 5"):
-        evaluate(rid, A123, {"cap": 5})
+    assert len(PRIMES64) == 64
+    size = 2080 if rid == "PROP-CRIT-P" else 4033  # |AA| and |A/A| of the primes
+    with pytest.raises(ResourceError, match=rf"{rid}: \|derived set\| = {size} exceeds cap 2000"):
+        evaluate(rid, PRIMES64)
 
 
 def test_gen_sigma_reuses_the_context_doubling_bound(monkeypatch):
@@ -323,3 +330,13 @@ def test_lemma3_checks_M_before_any_cluster_work(kernel_calls, monkeypatch):
         evaluate("LEMMA3", S8, {"M": 50})
     # E_x for the slice choice and A/A for the window; A+A is not counted
     assert kernel_calls == {("mul", True): 1, ("div", True): 1}
+
+
+def test_lemma3_refuses_a_slope_triple_before_any_incidence_count(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("incidences were counted before every line set passed")
+
+    monkeypatch.setattr(counting, "_sigma_incidences", fail)
+    # the tau = 8 window has 455 slope triples; one of them has 660 lines
+    with pytest.raises(ResourceError, match="sigma_max candidate enumeration too large: 660 lines"):
+        evaluate("LEMMA3", GP16)
