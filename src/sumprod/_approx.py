@@ -3,15 +3,17 @@
 Pass/fail comparisons elsewhere are always exact (cross-exponentiation of
 integers); the helpers here only produce reproducible decimal *renderings*
 of irrational quantities such as |A|^{19/12} or log2|A|.  All outputs are
-Fractions with a power-of-ten denominator, computed by integer floor
-operations (or fixed-precision mpmath for oversized exponents), so repeated
-runs agree bit for bit.
+Fractions with a power-of-ten denominator, so repeated runs agree bit for
+bit.  When the exponents' common denominator d is at most 512, a product
+of powers is rendered all in integers: the numerator and denominator of
+the d-th power, then one floor of an integer d-th root.  Larger d, and
+logarithms, go through fixed-precision mpmath.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm, log2
 
 import mpmath
 
@@ -33,15 +35,20 @@ def int_nth_root(n: int, k: int) -> int:
         return 0
     if k == 1:
         return n
-    x = 1 << (n.bit_length() // k + 1)
+    if k == 2:
+        return isqrt(n)
+    # Newton from above.  Write n = m·2^(ke) + r with r < 2^(ke).  The float
+    # 2^(log2(m)/k) is within a relative 2^-45 of m^(1/k), and when e > 0, m
+    # has at least 53k bits, so (m+1)^(1/k) is no further off: the 2^-40
+    # margin puts x above n^(1/k).  By AM-GM each step stays at or above
+    # the floor of the root, and it falls strictly until it gets there.
+    e = max(0, n.bit_length() // k - 53)
+    x = (int(2 ** (log2(n >> (k * e)) / k) * (1 + 2**-40)) + 1) << e
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
-            break
+            return x
         x = y
-    while x ** k > n:
-        x -= 1
-    return x
 
 
 def nth_root_frac(value: Fraction, k: int) -> Fraction:
@@ -65,20 +72,25 @@ def _mpmath_decimal(x) -> Fraction:
 def product_pow(factors: list[tuple[Fraction, Fraction]]) -> Fraction:
     """Deterministic approximation of prod base_i^{exp_i} for positive bases.
 
-    When the common denominator of the exponents is small the value is
-    computed as an exact rational power followed by one integer root;
-    otherwise fixed-precision mpmath is used.
+    Bases and exponents are ints or Fractions.  When the common
+    denominator d of the exponents is small the value is the floor of the
+    d-th root of num/den, where num/den (not reduced) is the product of
+    the d-th powers; otherwise fixed-precision mpmath is used.
     """
-    factors = [(Fraction(b), Fraction(e)) for b, e in factors]
     for b, _ in factors:
         if b <= 0:
             raise ValueError("bases must be positive")
     d = lcm(*(e.denominator for _, e in factors)) if factors else 1
     if d <= _EXACT_ROOT_LIMIT:
-        acc = Fraction(1)
+        num = den = 1
         for b, e in factors:
-            acc *= b ** int(e * d)
-        return nth_root_frac(acc, d)
+            k = e.numerator * (d // e.denominator)
+            p, q = (b.numerator, b.denominator) if k >= 0 else (b.denominator, b.numerator)
+            num *= p ** abs(k)
+            den *= q ** abs(k)
+        scale = 10 ** DISPLAY_DIGITS
+        return Fraction(int_nth_root(num * scale**d // den, d), scale)
+    factors = [(Fraction(b), Fraction(e)) for b, e in factors]
     with mpmath.workdps(_MPMATH_DPS):
         acc = mpmath.mpf(1)
         for b, e in factors:

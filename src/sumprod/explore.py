@@ -12,6 +12,7 @@ from __future__ import annotations
 import datetime
 import json
 import random
+from bisect import insort
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
@@ -83,13 +84,15 @@ def mutate(A: FiniteSet, ground: FiniteSet, seed: int) -> tuple[FiniteSet, bool]
 
     Returns (set, moved); moved is False when no legal swap exists.
     """
-    pool = sorted(set(ground.elements) - set(A.elements))
+    pool = [x for x in ground.elements if x not in A._members]  # in order, as ground is
     if not pool:
         return A, False
     rng = random.Random(seed)
     out = rng.choice(pool)
     dropped = rng.choice(A.elements)
-    return FiniteSet([x for x in A if x != dropped] + [out]), True
+    kept = [x for x in A.elements if x != dropped]
+    insort(kept, out)
+    return FiniteSet.from_sorted(kept), True
 
 
 # -- extremal search -------------------------------------------------------
@@ -147,7 +150,7 @@ def search_extremal(inequality_id: str, n: int, mode: str,
     config['budget'] evaluations.  Hillclimb mode runs
     config.get('restarts', 1) >= 1 seeded mutate-and-accept walks;
     equal-ratio moves are accepted with probability 1/2 to drift along
-    plateaus.
+    plateaus.  The walks of one call evaluate each set at most once.
     """
     ground: FiniteSet = config["ground"]
     budget = int(config.get("budget", 10_000))
@@ -181,16 +184,26 @@ def search_extremal(inequality_id: str, n: int, mode: str,
         if restarts < 1:
             raise DomainError(f"hillclimb search needs restarts >= 1, got {restarts}")
         rng = random.Random(seed)
+        # the ratio of each set evaluated in this call, keyed by the set's own
+        # element tuple, so that a set held here keeps no membership table
+        seen = {}
+
+        def ratio(A):
+            r = seen.get(A.elements)
+            if r is None:
+                r = seen[A.elements] = _ratio_of(inequality_id, A)
+            return r
+
         for _ in range(restarts):
             A = FiniteSet(rng.sample(ground.elements, n))
-            cur = (_ratio_of(inequality_id, A), A)
+            cur = (ratio(A), A)
             if _better(maximize, cur, best):
                 best = cur
             for _ in range(budget):
                 B, moved = mutate(cur[1], ground, rng.randrange(1 << 30))
                 if not moved:
                     break
-                cand = (_ratio_of(inequality_id, B), B)
+                cand = (ratio(B), B)
                 accept = _better(maximize, cand, cur) or (
                     cand[0] == cur[0] and rng.random() < 0.5)
                 if accept:

@@ -270,8 +270,9 @@ def d_upper(A: FiniteSet) -> DoublingProfile:
     {1}, A, A^{-1} and A/A.
 
     A candidate whose |A||C| exceeds 4 000 000 pairs is skipped (this only
-    weakens the bound, never unsound).  The {1} and {A, A^{-1}} candidates
-    guarantee d_upper <= min(|A|, K_mul^2).
+    weakens the bound, never unsound), and so is A/A when a lower bound on
+    its ratio reaches that of an earlier candidate, which wins the tie.
+    The {1} and {A, A^{-1}} candidates guarantee d_upper <= min(|A|, K_mul^2).
     """
     return SetContext(A).dhat
 
@@ -285,7 +286,12 @@ def _doubling(ctx: SetContext) -> DoublingProfile:
     scored = [(Fraction(size**2, n * len(C)), C) for C, size in
               ((FiniteSet([1]), n), (A, ctx.nprod), (A.inverse(), ctx.nquot))
               if n * len(C) <= _D_UPPER_PAIR_BUDGET]
-    if n * ctx.nquot <= _D_UPPER_PAIR_BUDGET:
+    q = ctx.nquot
+    # |AC| >= |A| + |C| - 1 for positive A and C, and >= max(|A|, |C|) for
+    # any A without 0; min keeps the first of equal ratios, so A/A is skipped
+    # once this lower bound on its ratio reaches the best so far
+    aq_bound = Fraction((n + q - 1 if A.is_positive() else max(n, q)) ** 2, n * q)
+    if n * q <= _D_UPPER_PAIR_BUDGET and not any(r <= aq_bound for r, _ in scored):
         AQ = FiniteSet.from_sorted(list(ctx.rep_counts("div")))
         scored.append((_ratio_for(A, AQ), AQ))
     best, witness = min(scored, key=lambda rc: rc[0], default=(None, None))

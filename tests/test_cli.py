@@ -317,5 +317,6 @@ def test_stats_json_runs_each_pair_kernel_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "sixteen.txt"
     path.write_text("\n".join(str(3 * k * k + 1) for k in range(1, 17)) + "\n")
     assert run(capsys, "stats", "--json", "--input", str(path))[0] == 0
-    # A+A, AA and A/A once each, and A·(A/A) for the doubling bound
-    assert calls == {("add", True): 1, ("mul", True): 1, ("div", True): 1, ("mul", False): 1}
+    # A+A, AA and A/A once each; the doubling bound keys no A·(A/A), since
+    # |A/A| = 241 puts that candidate's ratio at >= 256²/(16·241) > 16, the ratio of {1}
+    assert calls == {("add", True): 1, ("mul", True): 1, ("div", True): 1}

@@ -1,10 +1,12 @@
 """Generators, mutation, extremal search, the subset oracle and the corpus."""
 
 import json
+import random
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumprod import (
     DomainError,
@@ -66,6 +68,40 @@ def test_mutate():
     assert mutate(A, ground, seed=4) == (B, True)  # deterministic
     same, moved = mutate(A, A, seed=4)
     assert same == A and not moved
+
+
+def mutate_oracle(A, ground, seed):
+    """The set-difference form of `mutate`."""
+    pool = sorted(set(ground.elements) - set(A.elements))
+    if not pool:
+        return A, False
+    rng = random.Random(seed)
+    out = rng.choice(pool)
+    dropped = rng.choice(A.elements)
+    return FiniteSet([x for x in A if x != dropped] + [out]), True
+
+
+@st.composite
+def grounds_and_subsets(draw):
+    """A ground of signed rationals and a subset of it: any, all of it, or all but one."""
+    ground = draw(st.sets(st.fractions(min_value=-40, max_value=40, max_denominator=9),
+                          min_size=1, max_size=12).map(FiniteSet))
+    shape = draw(st.sampled_from(["any", "all", "all but one"]))
+    if shape == "all":
+        return ground, ground
+    if shape == "all but one" and len(ground) > 1:
+        gone = draw(st.sampled_from(ground.elements))
+        return ground, FiniteSet([x for x in ground if x != gone])
+    return ground, FiniteSet(draw(st.sets(st.sampled_from(ground.elements), min_size=1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grounds_and_subsets(), st.integers(0, (1 << 30) - 1))
+def test_mutate_matches_the_set_difference_form(ground_and_A, seed):
+    ground, A = ground_and_A
+    B, moved = mutate(A, ground, seed)
+    C, oracle_moved = mutate_oracle(A, ground, seed)
+    assert (B, moved) == (C, oracle_moved)
 
 
 def test_bsg_oracle_fixtures():
@@ -138,6 +174,60 @@ def test_hillclimb_negative_budget_is_refused(monkeypatch):
     cfg = {"ground": FiniteSet(range(1, 9)), "budget": -5, "seed": 11}
     with pytest.raises(DomainError, match=r"hillclimb search needs budget >= 0, got -5"):
         search_extremal("SOLY-PROD", 3, "hillclimb", cfg)
+
+
+def _counting_ratio_of(monkeypatch):
+    """Spy on explore._ratio_of: the list of sets it is asked to evaluate."""
+    calls, ratio_of = [], explore._ratio_of
+
+    def spy(inequality_id, A):
+        calls.append(A)
+        return ratio_of(inequality_id, A)
+
+    monkeypatch.setattr(explore, "_ratio_of", spy)
+    return calls
+
+
+def test_hillclimb_evaluates_each_set_once_per_call(monkeypatch):
+    calls = _counting_ratio_of(monkeypatch)
+    cfg = {"ground": FiniteSet(range(1, 13)), "budget": 40, "seed": 7, "restarts": 3}
+    first = search_extremal("COR-SOL", 4, "hillclimb", cfg)
+    assert len(calls) == len(set(calls)) == 62  # the walks visit 123 sets
+    # nothing outlives the call: the same search evaluates every set again
+    second = search_extremal("COR-SOL", 4, "hillclimb", cfg)
+    assert calls[62:] == calls[:62] and first == second
+
+
+# Records of fixed-seed hill climbs, written before the per-call memo
+# and the integer renderings; the searches must reproduce them byte for byte.
+PINNED_HILLCLIMBS = [
+    ("COR-SOL", 4, {"ground": list(range(1, 13)), "budget": 40, "seed": 7, "restarts": 3},
+     '{"artifact_version":"0.1.0","generator":{"budget":40,"ground":["1","2","3","4","5",'
+     '"6","7","8","9","10","11","12"],"mode":"hillclimb","n":4,"restarts":3,"seed":7},'
+     '"inequality_id":"COR-SOL","ratio":"21/16","set":["2","4","6","8"],"truncated":false}'),
+    ("MAIN-A", 5, {"ground": [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20], "budget": 30,
+                   "seed": 3},
+     '{"artifact_version":"0.1.0","generator":{"budget":30,"ground":["1","2","3","4","5",'
+     '"6","8","9","10","12","15","16","18","20"],"mode":"hillclimb","n":5,"restarts":1,'
+     '"seed":3},"inequality_id":"MAIN-A","ratio":"1660243143504587120756138441962697472451'
+     '3/10000000000000000000000000000000000000000","set":["2","4","6","8","10"],'
+     '"truncated":false}'),
+    ("SOLY-QUOT", 6, {"ground": [1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 32], "budget": 30,
+                      "seed": 5, "restarts": 2, "maximize": True},
+     '{"artifact_version":"0.1.0","generator":{"budget":30,"ground":["1","2","3","4","6",'
+     '"8","9","12","16","18","24","27","32"],"mode":"hillclimb","n":6,"restarts":2,'
+     '"seed":5},"inequality_id":"SOLY-QUOT","ratio":"1421/12","set":["1","2","8","18",'
+     '"27","32"],"truncated":false}'),
+]
+
+
+@pytest.mark.parametrize("rid, n, cfg, pinned", PINNED_HILLCLIMBS,
+                         ids=[case[0] for case in PINNED_HILLCLIMBS])
+def test_hillclimb_records_are_pinned(rid, n, cfg, pinned):
+    rec = search_extremal(rid, n, "hillclimb", dict(cfg, ground=FiniteSet(cfg["ground"])))
+    record = rec.to_json_dict()
+    del record["timestamp"]
+    assert json.dumps(record, sort_keys=True, separators=(",", ":")) == pinned
 
 
 def test_corpus_round_trip(tmp_path):

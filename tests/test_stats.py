@@ -1,12 +1,13 @@
 """Pairwise operation sets, energies, the fiber spectrum and doubling bounds."""
 
 import operator
+import random
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sumprod import (
     DomainError,
@@ -27,6 +28,7 @@ from sumprod import (
     stats,
     sumset,
 )
+from sumprod.stats import DoublingProfile
 from sumprod.verify import SetContext
 
 A123 = FiniteSet([1, 2, 3])
@@ -201,6 +203,44 @@ def test_doubling_bound_of_the_context_and_of_d_upper(top, path, rationals, inte
     expected = doubling_oracle(A)
     for prof in profiles:
         assert (prof.K_mul, prof.d_upper, prof.witness_C) == expected
+
+
+def doubling_unpruned(ctx):
+    """`stats._doubling` as it was before the A/A candidate could be skipped."""
+    A, n = ctx.A, ctx.n
+    scored = [(Fraction(size**2, n * len(C)), C) for C, size in
+              ((FiniteSet([1]), n), (A, ctx.nprod), (A.inverse(), ctx.nquot))
+              if n * len(C) <= stats._D_UPPER_PAIR_BUDGET]
+    if n * ctx.nquot <= stats._D_UPPER_PAIR_BUDGET:
+        AQ = FiniteSet.from_sorted(list(ctx.rep_counts("div")))
+        scored.append((stats._ratio_for(A, AQ), AQ))
+    best, witness = min(scored, key=lambda rc: rc[0], default=(None, None))
+    return DoublingProfile(K_mul=ctx.K, d_upper=best, witness_C=witness)
+
+
+@given(st.one_of(st.sets(st.fractions(min_value=-30, max_value=30, max_denominator=7)
+                         .filter(bool), min_size=1, max_size=12),
+                 st.sets(st.integers(2**31 + 1, 2**40), min_size=1, max_size=12),
+                 positive_sets).map(FiniteSet))
+@example(FiniteSet([1, 2, 4, 16, 32]))  # A/A wins, 256/55 against 121/25
+@example(FiniteSet([-8, -2, 2, 4, 8]))  # A/A wins at its lower bound, 98/25 against 4
+@settings(max_examples=80, deadline=None)
+def test_d_upper_matches_the_unpruned_candidates(A):
+    # signed sets, where only |AC| >= max(|A|, |C|) holds, and positive sets
+    # (above 2^31 among them) whose A/A candidate the lower bound often skips
+    assert d_upper(A) == doubling_unpruned(SetContext(A))
+
+
+def test_d_upper_skips_the_quotient_candidate_of_150_integers_above_2_31(monkeypatch):
+    def ratio_for(A, C):
+        raise AssertionError("the A/A candidate was keyed")
+
+    monkeypatch.setattr(stats, "_ratio_for", ratio_for)
+    A = FiniteSet(random.Random(150).sample(range(2**31 + 1, 2**32), 150))
+    # its ratio is at least (150 + 22350 - 1)^2 / (150 * 22351) > 150, that of {1}
+    assert SetContext(A).nquot == 22351
+    prof = d_upper(A)
+    assert (prof.d_upper, prof.witness_C) == (150, FiniteSet([1]))
 
 
 # -- the integer pair kernel against Fraction brute force -------------------

@@ -22,7 +22,7 @@ from sumprod import (
 )
 from sumprod import counting, d_upper, stats
 from sumprod.verify import REGISTRY, SetContext
-from sumprod._approx import product_pow
+from test_approx import product_pow_oracle
 
 A123 = FiniteSet([1, 2, 3])
 POWERS4 = FiniteSet([1, 2, 4, 8])
@@ -68,9 +68,9 @@ def test_main_a_gp16():
     ctx = SetContext(GP16)
     assert (ctx.nsum, ctx.nprod) == (136, 31)
     r = evaluate("MAIN-A", GP16)
-    expected = product_pow([(Fraction(136), Fraction(1)),
-                            (Fraction(16), Fraction(-19, 12)),
-                            (Fraction(31, 16), Fraction(5, 6))])
+    expected = product_pow_oracle([(Fraction(136), Fraction(1)),
+                                   (Fraction(16), Fraction(-19, 12)),
+                                   (Fraction(31, 16), Fraction(5, 6))])
     assert r.ratio == expected
 
 
