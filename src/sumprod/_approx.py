@@ -7,24 +7,25 @@ Fractions with a power-of-ten denominator, so repeated runs agree bit for
 bit.  When the exponents' common denominator d is at most 512, a product
 of powers is rendered all in integers: the numerator and denominator of
 the d-th power, then one floor of an integer d-th root.  Larger d, and
-logarithms, go through fixed-precision mpmath.
+logarithms, are the floor of an 80-digit approximation in the standard
+library's `decimal`, whose `ln` and `**` follow the General Decimal
+Arithmetic specification.
 """
 
 from __future__ import annotations
 
+from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 from math import isqrt, lcm, log2
-
-import mpmath
 
 DISPLAY_DIGITS = 40
 
 # Above this common exponent denominator, exact cross-exponentiation is
 # hopeless (e.g. the 4/3 + 1/20598 - 1e-6 exponent) and we fall back to
-# fixed-precision mpmath.
+# fixed-precision decimal arithmetic.
 _EXACT_ROOT_LIMIT = 512
 
-_MPMATH_DPS = 80
+_DECIMAL_DIGITS = 80
 
 
 def int_nth_root(n: int, k: int) -> int:
@@ -51,22 +52,18 @@ def int_nth_root(n: int, k: int) -> int:
         x = y
 
 
-def nth_root_frac(value: Fraction, k: int) -> Fraction:
-    """Deterministic decimal approximation of value^(1/k), floor-rounded."""
+def sqrt_frac(value: Fraction) -> Fraction:
+    """Deterministic decimal approximation of sqrt(value), floor-rounded."""
     if value < 0:
         raise ValueError("negative radicand")
     scale = 10 ** DISPLAY_DIGITS
-    scaled = value.numerator * scale**k // value.denominator
-    return Fraction(int_nth_root(scaled, k), scale)
+    return Fraction(isqrt(value.numerator * scale**2 // value.denominator), scale)
 
 
-def sqrt_frac(value: Fraction) -> Fraction:
-    return nth_root_frac(value, 2)
-
-
-def _mpmath_decimal(x) -> Fraction:
-    scale = 10 ** DISPLAY_DIGITS
-    return Fraction(int(mpmath.floor(x * scale)), scale)
+def _decimal_floor(x: Decimal) -> Fraction:
+    """x floored to DISPLAY_DIGITS places; call it inside the working context."""
+    scaled = x.scaleb(DISPLAY_DIGITS).to_integral_value(ROUND_FLOOR)
+    return Fraction(int(scaled), 10 ** DISPLAY_DIGITS)
 
 
 def product_pow(factors: list[tuple[Fraction, Fraction]]) -> Fraction:
@@ -75,7 +72,8 @@ def product_pow(factors: list[tuple[Fraction, Fraction]]) -> Fraction:
     Bases and exponents are ints or Fractions.  When the common
     denominator d of the exponents is small the value is the floor of the
     d-th root of num/den, where num/den (not reduced) is the product of
-    the d-th powers; otherwise fixed-precision mpmath is used.
+    the d-th powers; otherwise it is the floor of an 80-digit decimal
+    product.
     """
     for b, _ in factors:
         if b <= 0:
@@ -90,24 +88,18 @@ def product_pow(factors: list[tuple[Fraction, Fraction]]) -> Fraction:
             den *= q ** abs(k)
         scale = 10 ** DISPLAY_DIGITS
         return Fraction(int_nth_root(num * scale**d // den, d), scale)
-    factors = [(Fraction(b), Fraction(e)) for b, e in factors]
-    with mpmath.workdps(_MPMATH_DPS):
-        acc = mpmath.mpf(1)
+    with localcontext(Context(prec=_DECIMAL_DIGITS)):
+        acc = Decimal(1)
         for b, e in factors:
-            bb = mpmath.mpf(b.numerator) / b.denominator
-            ee = mpmath.mpf(e.numerator) / e.denominator
-            acc *= mpmath.power(bb, ee)
-        return _mpmath_decimal(acc)
+            acc *= (Decimal(b.numerator) / b.denominator) ** (Decimal(e.numerator) / e.denominator)
+        return _decimal_floor(acc)
 
 
-def log2_frac(value: Fraction) -> Fraction:
-    """Deterministic decimal approximation of log2(value), value > 0."""
-    value = Fraction(value)
-    if value <= 0:
+def log2_frac(n: int) -> Fraction:
+    """Deterministic decimal approximation of log2(n) for an integer n > 0."""
+    if n <= 0:
         raise ValueError("log of nonpositive value")
-    num, den = value.numerator, value.denominator
-    if den == 1 and num & (num - 1) == 0:
-        return Fraction(num.bit_length() - 1)
-    with mpmath.workdps(_MPMATH_DPS):
-        x = mpmath.mpf(num) / den
-        return _mpmath_decimal(mpmath.log(x, 2))
+    if n & (n - 1) == 0:
+        return Fraction(n.bit_length() - 1)
+    with localcontext(Context(prec=_DECIMAL_DIGITS)):
+        return _decimal_floor(Decimal(n).ln() / Decimal(2).ln())

@@ -297,8 +297,7 @@ def cluster_sigma(fibers: dict, slopes, pair_budget: int = SIGMA_PAIR_BUDGET) ->
     return max(_sigma_incidences(*lines).count for lines in line_sets)
 
 
-def solymosi_cluster_report(A: FiniteSet, tau, M: int,
-                            S_sub: FiniteSet | None = None) -> ClusterReport:
+def solymosi_cluster_report(A: FiniteSet, tau, M: int) -> ClusterReport:
     """Cluster construction over M consecutive slopes of one dyadic window.
 
     Sorts the chosen slopes ascending, splits them into groups of M, and
@@ -306,11 +305,10 @@ def solymosi_cluster_report(A: FiniteSet, tau, M: int,
     point fibers {(x, lambda*x) : x in A_lambda} over distinct slope pairs.
     All sums are verified to land in (A+A) x (A+A).
     """
-    return _cluster_report(SetContext(A), tau, M, S_sub, SIGMA_PAIR_BUDGET)
+    return _cluster_report(SetContext(A), tau, M, SIGMA_PAIR_BUDGET)
 
 
-def _cluster_report(ctx: SetContext, tau, M: int, S_sub: FiniteSet | None,
-                    pair_budget: int) -> ClusterReport:
+def _cluster_report(ctx: SetContext, tau, M: int, pair_budget: int) -> ClusterReport:
     """`solymosi_cluster_report` on the context's A, reading the fibers and A+A
     from it only once the slopes pass their checks."""
     tau, A = as_scalar(tau), ctx.A
@@ -320,15 +318,9 @@ def _cluster_report(ctx: SetContext, tau, M: int, S_sub: FiniteSet | None,
         raise DomainError("cluster needs two slopes")
 
     lams = list(ctx.fiber_sizes(tau))
-    window = FiniteSet.from_sorted(lams) if lams else None
-    if S_sub is not None:
-        if window is None or not S_sub <= window:
-            raise DomainError("S_sub is not contained in the slice window")
-        slopes = S_sub
-    else:
-        if window is None:
-            raise DomainError("empty slice window")
-        slopes = window
+    if not lams:
+        raise DomainError("empty slice window")
+    slopes = FiniteSet.from_sorted(lams)
     if M > len(slopes):
         raise DomainError("M exceeds the number of available slopes")
 
@@ -432,7 +424,7 @@ def er_chain(A: FiniteSet, triples_limit: int = TRIPLES_POINT_LIMIT) -> ErChain:
     if T is not None:
         checks["tripple_low"] = T * m * n * n >= U**4
 
-    log2n = log2_frac(Fraction(n))
+    log2n = log2_frac(n)
     ratios = {"er_log2": Fraction(Ep) ** 4 / (m * Fraction(n) ** 10 * log2n)}
     if T is not None:
         ratios["triples_upper_log2"] = T / (Fraction(len(X)) ** 4 * log2n)

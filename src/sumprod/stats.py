@@ -424,7 +424,7 @@ class SetContext:
 
     @cached_property
     def log2n(self) -> Fraction:
-        return log2_frac(Fraction(self.n))
+        return log2_frac(self.n)
 
     @cached_property
     def ceil_log2n(self) -> int:

@@ -19,7 +19,7 @@ from functools import partial
 from itertools import combinations
 from math import ceil
 
-from ._approx import log2_frac, product_pow
+from ._approx import product_pow
 from .counting import _cluster_report, sigma_count
 from .exactset import (
     DomainError,
@@ -28,7 +28,7 @@ from .exactset import (
     Scalar,
     format_scalar,
 )
-from .stats import SetContext, d_upper, pair_counts
+from .stats import SetContext, pair_counts
 
 #: exponent bump of the max{|A+A|,|AA|} >= |A|^{4/3+c} bound, just under
 #: the admissible supremum 1/20598
@@ -158,55 +158,35 @@ def _cs_subs(ctx, params):
 
 
 def _levelset(ctx, params):
-    B = params.get("B", ctx.A)
     tau = Fraction(params.get("tau", 2))
-    if min(len(ctx.A), len(B)) < 2:
+    if ctx.n < 2:
         raise DomainError("LEVELSET requires min size 2")
     if tau < 1:
         raise DomainError("LEVELSET requires tau >= 1")
-    lhs = _level_count(ctx.counts(ctx.A, B, "div"), tau)
-    nsumB = len(ctx.counts(B, B, "add"))
-    return _hidden(lhs, Fraction(ctx.nsum * nsumB) / tau**2)
+    lhs = _level_count(ctx.counts(ctx.A, ctx.A, "div"), tau)
+    return _hidden(lhs, Fraction(ctx.nsum**2) / tau**2)
 
 
 def _energy_sumset(ctx, params):
-    B = params.get("B", ctx.A)
     _need(ctx, nonzero=True)
-    if B.has_zero():
-        raise DomainError("entry requires 0 not in B")
-    c = ctx.counts(ctx.A, B, "mul")
-    lhs = int(c @ c)
-    nsumB = len(ctx.counts(B, B, "add"))
-    logm = log2_frac(Fraction(min(len(ctx.A), len(B))))
-    if logm == 0:
-        raise DomainError("ENERGY-SUMSET requires min size 2")
-    return _ratio(lhs, [(ctx.nsum * nsumB, Fraction(1)), (logm, Fraction(1))])
+    return _ratio(ctx.Ex, [(ctx.nsum**2, 1), (ctx.log2n, 1)])
 
 
 def _da_level(ctx, params):
     _need(ctx, nonzero=True)
-    B = params.get("B", ctx.A)
     tau = Fraction(params.get("tau", 2))
     if tau < 1:
         raise DomainError("DA-LEVEL requires tau >= 1")
-    lhs = _level_count(ctx.counts(ctx.A, B, "add"), tau)
-    return _hidden(lhs, ctx.dhat.d_upper * ctx.n * Fraction(len(B)) ** 2 / tau**3)
+    lhs = _level_count(ctx.counts(ctx.A, ctx.A, "add"), tau)
+    return _hidden(lhs, ctx.dhat.d_upper * ctx.n**3 / tau**3)
 
 
 def _gen_sigma(ctx, params):
+    """The solutions of x + y = z in A against d(A)^{1/3} |A|^{5/3}."""
     _need(ctx, nonzero=True)
-    A1 = params.get("A1", ctx.A)
-    A2 = params.get("A2", ctx.A)
-    A3 = params.get("A3", ctx.A)
-    coeffs = params.get("coeffs", (1, 1, -1))
-    sig = sigma_count(coeffs[0], A1, coeffs[1], A2, coeffs[2], A3)
-    d1 = (ctx.dhat if A1 is ctx.A else d_upper(A1)).d_upper
-    lhs = Fraction(sig.count)
+    lhs = Fraction(sigma_count(1, ctx.A, 1, ctx.A, -1, ctx.A).count)
     _, rhs, ratio, _, _ = _ratio(max(lhs, Fraction(1)),
-                                 [(d1, Fraction(1, 3)),
-                                  (len(A1), Fraction(1, 3)),
-                                  (len(A2), Fraction(2, 3)),
-                                  (len(A3), Fraction(2, 3))])
+                                 [(ctx.dhat.d_upper, Fraction(1, 3)), (ctx.n, Fraction(5, 3))])
     # keep the genuine (possibly zero) solution count in the report
     return lhs, rhs, ratio if lhs > 0 else Fraction(0), False, None
 
@@ -248,14 +228,10 @@ def _solplus(ctx, params):
 
 def _lemma3(ctx, params):
     _need(ctx, nonzero=True, positive=True)
-    tau = params.get("tau")
-    if tau is None:
-        chosen = _choose_slice(ctx)[2]
-        if chosen is None:
-            raise DomainError("LEMMA3: no qualifying dyadic slice")
-        tau = chosen[0]
-    cluster = _cluster_report(ctx, tau, params.get("M", 2), params.get("S_sub"),
-                              LEMMA3_PAIR_BUDGET)
+    chosen = _choose_slice(ctx)[2]
+    if chosen is None:
+        raise DomainError("LEMMA3: no qualifying dyadic slice")
+    cluster = _cluster_report(ctx, chosen[0], params.get("M", 2), LEMMA3_PAIR_BUDGET)
     lhs = Fraction(ctx.nsum) ** 2
     both = all(cluster.conditions_ok)
     rhs = cluster.lemma_rhs if (both and cluster.lemma_rhs is not None) else Fraction(0)

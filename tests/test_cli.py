@@ -3,8 +3,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,3 +324,11 @@ def test_stats_json_runs_each_pair_kernel_once(tmp_path, capsys, monkeypatch):
     # A+A, AA and A/A once each; the doubling bound keys no A·(A/A), since
     # |A/A| = 241 puts that candidate's ratio at >= 256²/(16·241) > 16, the ratio of {1}
     assert calls == {("add", True): 1, ("mul", True): 1, ("div", True): 1}
+
+
+def test_importing_the_cli_loads_no_mpmath():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, sumprod.cli; print('mpmath' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "False\n"

@@ -353,11 +353,6 @@ def test_cluster_errors():
         solymosi_cluster_report(A123, 2, 2)  # window holds a single slope
 
 
-def test_cluster_subset_must_lie_in_window():
-    with pytest.raises(DomainError, match="not contained"):
-        solymosi_cluster_report(DIVISOR_RICH, 2, 2, S_sub=FiniteSet([77]))
-
-
 def test_cluster_box_check_sees_a_wrong_fiber_element(monkeypatch):
     assert solymosi_cluster_report(DIVISOR_RICH, 2, 2).sums_in_box
     fibers = SetContext.fibers

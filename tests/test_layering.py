@@ -3,9 +3,13 @@ imports a private name of `stats` (`_pair_keys`, `_ordered`, ...), takes
 one as an attribute of it, or reads a private member of a `SetContext`.
 Only `evaluate` and `verify_suite` build an `InequalityReport`: the registry
 entries return numbers.  No function imports a sibling module: the modules
-import each other at their top, so an import cycle fails at import time."""
+import each other at their top, so an import cycle fails at import time.
+The third-party modules the package imports are exactly the runtime
+dependencies `pyproject.toml` declares."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,3 +117,43 @@ def test_the_checker_sees_every_function_level_import():
 def test_no_function_imports_a_sibling_module(path):
     found = function_level_imports(path.read_text(encoding="utf-8"))
     assert not found, f"{path.name}: {sorted(found)} import a sumprod module"
+
+
+def third_party_imports(source: str) -> set[str]:
+    """The top-level names of the absolute imports of a module that are
+    neither in the standard library nor `sumprod` itself."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"sumprod"}
+
+
+def declared_dependencies(pyproject: dict) -> set[str]:
+    """The distribution names in `[project] dependencies`, without versions,
+    extras or markers."""
+    return {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+            for d in pyproject["project"]["dependencies"]}
+
+
+def test_the_checker_sees_every_third_party_import():
+    assert third_party_imports("import numpy as np\nimport json, os.path") == {"numpy"}
+    assert third_party_imports("from mpmath import mp\nfrom .stats import x") == {"mpmath"}
+    assert third_party_imports("def f():\n    import scipy.linalg") == {"scipy"}
+    assert third_party_imports("from __future__ import annotations\n"
+                               "from sumprod.stats import x\nimport decimal") == set()
+    assert declared_dependencies({"project": {"dependencies": [
+        "numpy>=1.24", "Foo-Bar[fast] ; python_version >= '3.10'", "tomli"]}}) \
+        == {"numpy", "foo_bar", "tomli"}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")
+    imported = set().union(*(third_party_imports(p.read_text(encoding="utf-8"))
+                             for p in SRC.rglob("*.py")))
+    declared = declared_dependencies(
+        tomllib.loads((SRC.parent.parent / "pyproject.toml").read_text(encoding="utf-8")))
+    assert imported == declared, (f"imported but not declared: {sorted(imported - declared)}; "
+                                  f"declared but not imported: {sorted(declared - imported)}")

@@ -253,8 +253,6 @@ def test_gen_sigma_reuses_the_context_doubling_bound(monkeypatch):
     for rid in ("PREV-DA", "GEN-SIGMA", "DA-LEVEL"):
         evaluate(rid, POWERS4, ctx=ctx)
     assert calls == [POWERS4]
-    evaluate("GEN-SIGMA", POWERS4, {"A1": A123}, ctx=ctx)
-    assert calls == [POWERS4, A123]
 
 
 # -- one derivation per statistic -----------------------------------------
