@@ -52,14 +52,6 @@ def int_nth_root(n: int, k: int) -> int:
         x = y
 
 
-def sqrt_frac(value: Fraction) -> Fraction:
-    """Deterministic decimal approximation of sqrt(value), floor-rounded."""
-    if value < 0:
-        raise ValueError("negative radicand")
-    scale = 10 ** DISPLAY_DIGITS
-    return Fraction(isqrt(value.numerator * scale**2 // value.denominator), scale)
-
-
 def _decimal_floor(x: Decimal) -> Fraction:
     """x floored to DISPLAY_DIGITS places; call it inside the working context."""
     scaled = x.scaleb(DISPLAY_DIGITS).to_integral_value(ROUND_FLOOR)
@@ -78,7 +70,7 @@ def product_pow(factors: list[tuple[Fraction, Fraction]]) -> Fraction:
     for b, _ in factors:
         if b <= 0:
             raise ValueError("bases must be positive")
-    d = lcm(*(e.denominator for _, e in factors)) if factors else 1
+    d = lcm(*(e.denominator for _, e in factors))
     if d <= _EXACT_ROOT_LIMIT:
         num = den = 1
         for b, e in factors:
@@ -93,6 +85,11 @@ def product_pow(factors: list[tuple[Fraction, Fraction]]) -> Fraction:
         for b, e in factors:
             acc *= (Decimal(b.numerator) / b.denominator) ** (Decimal(e.numerator) / e.denominator)
         return _decimal_floor(acc)
+
+
+def sqrt_frac(value: Fraction) -> Fraction:
+    """sqrt(value) for value > 0, floor-rounded: the integer-root `product_pow`."""
+    return product_pow([(value, Fraction(1, 2))])
 
 
 def log2_frac(n: int) -> Fraction:

@@ -9,11 +9,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 import numpy as np
 
-from ._approx import log2_frac, sqrt_frac
+from ._approx import sqrt_frac
 from .exactset import (
     DomainError,
     FiniteSet,
@@ -46,9 +46,8 @@ def sigma_count(a1, A1: FiniteSet, a2, A2: FiniteSet, a3, A3: FiniteSet) -> Sigm
     a1, a2, a3 = as_scalar(a1), as_scalar(a2), as_scalar(a3)
     if a1 == 0 or a2 == 0 or a3 == 0:
         raise DomainError("sigma coefficients must be nonzero")
-    terms = [[a * x for x in S] for a, S in ((a1, A1), (a2, A2), (-a3, A3))]
-    m = lcm(*(t.denominator for T in terms for t in T))
-    s1, s2, s3 = (scaled_integers(T, m)[0] for T in terms)
+    s1, s2, s3, _ = scaled_integers(*([a * x for x in S]
+                                      for a, S in ((a1, A1), (a2, A2), (-a3, A3))))
     targets = set(s3)
     count = sum(u + v in targets for u in s1 for v in s2)
     return SigmaResult(count=count, coefficients=(a1, a2, a3))
@@ -102,8 +101,7 @@ def _sigma_lines(A1: FiniteSet, A2: FiniteSet, A3: FiniteSet,
     if size > SIGMA_SIZE_LIMIT:
         raise ResourceError(f"sigma_max input too large: {size}")
 
-    m = lcm(*(x.denominator for S in (A1, A2, A3) for x in S))
-    s1, s2, s3 = (scaled_integers(S, m)[0] for S in (A1, A2, A3))
+    s1, s2, s3, _ = scaled_integers(A1, A2, A3)
     lines: Counter = Counter()
     base = 0
     for x1 in s1:
@@ -424,9 +422,8 @@ def er_chain(A: FiniteSet, triples_limit: int = TRIPLES_POINT_LIMIT) -> ErChain:
     if T is not None:
         checks["tripple_low"] = T * m * n * n >= U**4
 
-    log2n = log2_frac(n)
-    ratios = {"er_log2": Fraction(Ep) ** 4 / (m * Fraction(n) ** 10 * log2n)}
+    ratios = {"er_log2": Fraction(Ep) ** 4 / (m * Fraction(n) ** 10 * ctx.log2n)}
     if T is not None:
-        ratios["triples_upper_log2"] = T / (Fraction(len(X)) ** 4 * log2n)
+        ratios["triples_upper_log2"] = T / (Fraction(len(X)) ** 4 * ctx.log2n)
 
     return ErChain(N=N, F=F, U=U, T=T, checks=checks, ratios=ratios)

@@ -3,14 +3,16 @@
 Everything downstream works over `Fraction` elements; there is no floating
 point anywhere in the counting paths.  A `FiniteSet` is an immutable,
 strictly sorted, duplicate-free tuple of rationals with O(1) membership.
+The joint scaling of sets to integers and the canonical JSON are written here only.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -73,11 +75,10 @@ class FiniteSet:
     __slots__ = ("_elems", "_members")
 
     def __init__(self, values: Iterable):
-        elems = sorted({as_scalar(v) for v in values})
-        if not elems:
+        self._members = frozenset(map(as_scalar, values))
+        if not self._members:
             raise DomainError("empty set")
-        self._elems: tuple[Fraction, ...] = tuple(elems)
-        self._members = frozenset(self._elems)
+        self._elems: tuple[Fraction, ...] = tuple(sorted(self._members))
 
     @classmethod
     def from_sorted(cls, elems: Sequence[Fraction]) -> "FiniteSet":
@@ -149,7 +150,7 @@ class FiniteSet:
         return FiniteSet(ONE / a for a in self._elems)
 
     def union(self, other: "FiniteSet") -> "FiniteSet":
-        return FiniteSet(self._elems + other._elems)
+        return FiniteSet(self._members | other._members)
 
     def intersect(self, other: "FiniteSet") -> "FiniteSet | None":
         common = self._members & other._members
@@ -164,17 +165,17 @@ def dilate(A: FiniteSet, alpha) -> FiniteSet:
     return FiniteSet(alpha * a for a in A)
 
 
-# -- integer scaling ------------------------------------------------------
+# -- primitives the other modules share: joint scaling, canonical JSON ----
 
-def scaled_integers(A: Iterable[Fraction], m: int | None = None) -> tuple[list[int], int]:
-    """Return (m*A as ints, m).
+def scaled_integers(*sets: Collection[Fraction]) -> tuple:
+    """(m*S as ints for each S in sets, ..., m), m the lcm of all their denominators."""
+    m = lcm(*(a.denominator for S in sets for a in S))
+    return (*([a.numerator * (m // a.denominator) for a in S] for S in sets), m)
 
-    m defaults to the lcm of the denominators; a given m must be a common
-    multiple of them.
-    """
-    if m is None:
-        m = lcm(*(a.denominator for a in A))
-    return [a.numerator * (m // a.denominator) for a in A], m
+
+def canonical_json(obj) -> str:
+    """obj in the one JSON form of every report and record: sorted keys, no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def parse_set_text(text: str) -> tuple[FiniteSet, int]:

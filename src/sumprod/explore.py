@@ -18,7 +18,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .exactset import DomainError, FiniteSet, ParseError, format_scalar, parse_scalar
+from .exactset import (DomainError, FiniteSet, ParseError, canonical_json, format_scalar,
+                       parse_scalar)
 from .stats import productset
 from .verify import evaluate
 
@@ -225,8 +226,7 @@ def search_extremal(inequality_id: str, n: int, mode: str,
 def corpus_store(record: ExtremalRecord, path) -> None:
     """Append one record to the JSONL corpus."""
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record.to_json_dict(), sort_keys=True,
-                            separators=(",", ":")) + "\n")
+        fh.write(canonical_json(record.to_json_dict()) + "\n")
 
 
 def corpus_load(path) -> list[ExtremalRecord]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import floor, gcd, lcm
+from math import floor, gcd
 
 import numpy as np
 
@@ -41,7 +41,7 @@ QUADRUPLE_LIMIT = 250_000
 
 def _counted(keys) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys and their counts: numpy for an int64 array, a Counter for Python ints."""
-    if isinstance(keys, np.ndarray):
+    if isinstance(keys, np.ndarray) and keys.dtype != object:
         return np.unique(keys, return_counts=True)
     counts = Counter(keys)
     return np.array(list(counts), dtype=object), np.array(list(counts.values()), dtype=object)
@@ -85,14 +85,12 @@ def _pair_keys(A, B, op: str):
         (x, ma), (y, mb) = scaled_integers(A), scaled_integers(B)
         den = ma * mb
     else:
-        den = lcm(*(c.denominator for S in (A, B) for c in S))
-        (x, _), (y, _) = scaled_integers(A, den), scaled_integers(B, den)
+        x, y, den = scaled_integers(A, B)
         if op == "div":
             # a quotient does not change when both sides are scaled alike
             keys, shift = _quotient_keys((x, [1] * len(x)), ([1] * len(y), y))
-            pairs = keys if isinstance(keys, np.ndarray) else np.fromiter(keys, dtype=object)
-            keys, counts = np.unique(pairs, return_counts=True)
-            return keys, counts.astype(keys.dtype), pairs, None, shift
+            pairs = keys if isinstance(keys, np.ndarray) else np.array(list(keys), dtype=object)
+            return (*_counted(pairs), pairs, None, shift)
     if max(*map(abs, x), *map(abs, y), len(x) * len(y)) < _INT64_SAFE:
         keys = _OUTER[op](np.array(x, np.int64), np.array(y, np.int64))
         return (*np.unique(keys, return_counts=True), None, den, None)
@@ -165,31 +163,30 @@ def rep_counts(A: FiniteSet, B: FiniteSet, mode: str) -> Counter:
     return Counter(dict(zip(*_ordered(_pair_keys(A, B, mode))[:2])))
 
 
+def _energy_sets(A: FiniteSet, B: FiniteSet | None, mode: str) -> FiniteSet:
+    """B (A when None), after the argument checks of `energy` and its oracle."""
+    B = A if B is None else B
+    if mode not in ("add", "mul"):
+        raise DomainError(f"energy mode must be add or mul, got {mode!r}")
+    if mode == "mul" and (A.has_zero() or B.has_zero()):
+        raise DomainError("zero element in multiplicative energy")
+    return B
+
+
 def energy(A: FiniteSet, B: FiniteSet | None = None, mode: str = "add") -> int:
     """E = sum_x r(x)^2 where r is the add/mul representation function.
 
     This equals the number of quadruples (a1,b1,a2,b2) with
     a1 o b1 = a2 o b2.  mode 'mul' requires 0 outside both sets.
     """
-    if B is None:
-        B = A
-    if mode not in ("add", "mul"):
-        raise DomainError(f"energy mode must be add or mul, got {mode!r}")
-    if mode == "mul" and (A.has_zero() or B.has_zero()):
-        raise DomainError("zero element in multiplicative energy")
-    _, counts = pair_counts(A, B, mode)
+    _, counts = pair_counts(A, _energy_sets(A, B, mode), mode)
     return int(counts @ counts)
 
 
 def energy_by_quadruples(A: FiniteSet, B: FiniteSet | None = None,
                          mode: str = "add") -> int:
     """Independent O(|A|^2|B|^2) oracle for `energy`: enumerate quadruples."""
-    if B is None:
-        B = A
-    if mode not in ("add", "mul"):
-        raise DomainError(f"energy mode must be add or mul, got {mode!r}")
-    if mode == "mul" and (A.has_zero() or B.has_zero()):
-        raise DomainError("zero element in multiplicative energy")
+    B = _energy_sets(A, B, mode)
     if (len(A) * len(B)) ** 2 > QUADRUPLE_LIMIT:
         raise ResourceError("quadruple enumeration too large")
     count = 0

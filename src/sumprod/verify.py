@@ -12,7 +12,6 @@ subset oracle that stands in for its Balog-Szemeredi-Gowers step.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -26,6 +25,7 @@ from .exactset import (
     FiniteSet,
     ResourceError,
     Scalar,
+    canonical_json,
     format_scalar,
 )
 from .stats import SetContext, pair_counts
@@ -72,8 +72,7 @@ class InequalityReport:
 
 def report_json(reports) -> str:
     """Canonical JSON rendering (stable key order, compact separators)."""
-    return json.dumps([r.to_json_dict() for r in reports],
-                      sort_keys=True, separators=(",", ":"))
+    return canonical_json([r.to_json_dict() for r in reports])
 
 
 def _digest(A: FiniteSet) -> str:
@@ -208,7 +207,7 @@ def _smallmd_energy(ctx, params):
 
 
 def _prop_crit(product: bool, ctx, params):
-    """E+ of AA (product) or of A/A against E×(A)^3 / (L^32 |A|^4)."""
+    """E× of AA (product) or of A/A against E×(A)^3 / (L^32 |A|^4)."""
     _need(ctx, nonzero=True)
     size = ctx.nprod if product else ctx.nquot
     if size > QUOTIENT_ENERGY_CAP:
@@ -326,6 +325,10 @@ class SmallLReport:
 def _choose_slice(ctx: SetContext):
     """The threshold E×(A)/(2|A|^2), the nonempty slices (tau, |S_tau|) at or
     above it, and the one of maximal |S_tau| tau^2 (then tau) among them, or None."""
+    if ctx.n < 2:
+        raise DomainError("construction requires |A| >= 2")
+    if ctx.A.has_zero():
+        raise DomainError("construction requires 0 not in A")
     threshold = Fraction(ctx.Ex, 2 * ctx.n**2)
     qualifying = [(tau, size) for tau, size in ctx.slices if size and tau >= threshold]
     chosen = max(qualifying, key=lambda s: (s[1] * s[0]**2, s[0]), default=None)
@@ -339,10 +342,6 @@ def smallL_construction(A: FiniteSet) -> SmallLReport:
 
 
 def _smallL(ctx: SetContext) -> SmallLReport:
-    if ctx.n < 2:
-        raise DomainError("construction requires |A| >= 2")
-    if ctx.A.has_zero():
-        raise DomainError("construction requires 0 not in A")
     threshold, qualifying, chosen = _choose_slice(ctx)
     diagnostics = {
         "threshold": threshold,
@@ -423,25 +422,22 @@ class SolPlusTrace:
 def solplus_trace(A: FiniteSet) -> SolPlusTrace:
     """Trace L, L', eta and the dense-subset/dilation step on a small set."""
     ctx = SetContext(A)
-    rep = _smallL(ctx)
-    if rep.tau is None:
+    chosen = _choose_slice(ctx)[2]
+    if chosen is None:
         raise DomainError("no qualifying dyadic slice")
+    size = chosen[1] - chosen[1] // 2  # S''_tau takes floor(|S_tau|/2) slopes, S'_tau the rest
+    if size > BSG_MAX_SIZE:
+        raise ResourceError(f"|S'_tau| = {size} exceeds the subset-oracle cap {BSG_MAX_SIZE}")
+    rep = _smallL(ctx)
     L_prime = max(Fraction(1), Fraction(ctx.nquot) ** 3 / Fraction(ctx.n) ** 4)
     eta = rep.L**-64 * ctx.Ex * rep.tau**6 / Fraction(ctx.nquot) ** 5
 
     S_prime = rep.S_prime
-    if len(S_prime) > BSG_MAX_SIZE:
-        raise ResourceError(
-            f"|S'_tau| = {len(S_prime)} exceeds the subset-oracle cap {BSG_MAX_SIZE}")
-    if len(S_prime) < 2:
-        S_dprime = S_prime
-    else:
-        S_dprime, _ = bsg_subset_oracle(S_prime)
+    S_dprime = S_prime if len(S_prime) < 2 else bsg_subset_oracle(S_prime)[0]
 
     best_a, best_set = None, None
-    targets = set(S_dprime.elements)
     for a in A:
-        hit = [x for x in A if x / a in targets]
+        hit = [x for x in A if x / a in S_dprime]
         if best_set is None or len(hit) > len(best_set):
             best_a, best_set = a, hit
     return SolPlusTrace(L=rep.L, L_prime=L_prime, eta=eta, tau=rep.tau,

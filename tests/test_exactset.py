@@ -1,6 +1,7 @@
 """Scalar parsing, FiniteSet construction and dilation."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -73,10 +74,29 @@ def test_dilation_preserves_cardinality(A, alpha):
     assert len(dilate(A, alpha)) == len(A)
 
 
-@given(rational_sets)
-def test_scaled_integers_round_trip(A):
-    ints, m = scaled_integers(A)
-    assert FiniteSet(Fraction(v, m) for v in ints) == A
+@given(st.lists(rational_sets, min_size=1, max_size=4))
+def test_scaled_integers_round_trip(sets):
+    *ints, m = scaled_integers(*sets)
+    assert m == lcm(*(a.denominator for A in sets for a in A))
+    assert len(ints) == len(sets)
+    for A, xs in zip(sets, ints):
+        assert FiniteSet(Fraction(v, m) for v in xs) == A
+
+
+class _CountedFraction(Fraction):
+    hashes = 0
+
+    def __hash__(self):
+        type(self).hashes += 1
+        return super().__hash__()
+
+
+def test_a_finite_set_hashes_each_element_once():
+    values = [_CountedFraction(v, 3) for v in (5, 1, 4, 2, 1, 7)]
+    _CountedFraction.hashes = 0
+    A = FiniteSet(values)
+    assert _CountedFraction.hashes == len(values)
+    assert A.elements == tuple(Fraction(v, 3) for v in (1, 2, 4, 5, 7))
 
 
 def test_parse_set_text():

@@ -5,7 +5,8 @@ Only `evaluate` and `verify_suite` build an `InequalityReport`: the registry
 entries return numbers.  No function imports a sibling module: the modules
 import each other at their top, so an import cycle fails at import time.
 The third-party modules the package imports are exactly the runtime
-dependencies `pyproject.toml` declares."""
+dependencies `pyproject.toml` declares.  Only `exactset` and `_approx` use
+`math.lcm`, and only `exactset` `json.dumps`."""
 
 import ast
 import re
@@ -157,3 +158,39 @@ def test_declared_dependencies_are_the_imported_ones():
         tomllib.loads((SRC.parent.parent / "pyproject.toml").read_text(encoding="utf-8")))
     assert imported == declared, (f"imported but not declared: {sorted(imported - declared)}; "
                                   f"declared but not imported: {sorted(declared - imported)}")
+
+
+def uses_of(source: str, module: str, name: str) -> int:
+    """How often a module imports `name` from `module` or reads it as `module.name`."""
+    found = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == module:
+            found += sum(a.name == name for a in node.names)
+        elif (isinstance(node, ast.Attribute) and node.attr == name
+              and isinstance(node.value, ast.Name) and node.value.id == module):
+            found += 1
+    return found
+
+
+def test_the_checker_sees_every_use_of_a_name():
+    assert uses_of("from math import comb, lcm", "math", "lcm") == 1
+    assert uses_of("import math\nm = math.lcm(2, 3)", "math", "lcm") == 1
+    assert uses_of("from math import gcd\nlcm = 1", "math", "lcm") == 0
+    assert uses_of("import json\njson.dumps(x)\njson.loads(s)", "json", "dumps") == 1
+    assert uses_of("from json import dumps, loads", "json", "dumps") == 1
+    assert uses_of("from .exactset import canonical_json\ncanonical_json(x)",
+                   "json", "dumps") == 0
+
+
+#: each exact-arithmetic primitive is written in one module: the joint scaling
+#: of sets and the canonical JSON in `exactset`, exponent denominators in `_approx`
+PRIMITIVE_OWNERS = {("math", "lcm"): {"exactset.py", "_approx.py"},
+                    ("json", "dumps"): {"exactset.py"}}
+
+
+@pytest.mark.parametrize("module, name", sorted(PRIMITIVE_OWNERS), ids=".".join)
+def test_each_primitive_lives_in_its_own_module(module, name):
+    owners = PRIMITIVE_OWNERS[(module, name)]
+    users = {p.name for p in SRC.glob("*.py")
+             if uses_of(p.read_text(encoding="utf-8"), module, name)}
+    assert users <= owners, f"{sorted(users - owners)} use {module}.{name}"

@@ -90,6 +90,18 @@ def test_energy_rejects_zero_in_mul():
         energy(FiniteSet([0, 1]), mode="mul")
 
 
+@pytest.mark.parametrize("fn", [energy, energy_by_quadruples])
+@pytest.mark.parametrize("B, mode, message", [
+    (None, "sub", "energy mode must be add or mul, got 'sub'"),
+    (FiniteSet([0, 1]), "mul", "zero element in multiplicative energy"),
+    (None, "mul", "zero element in multiplicative energy"),
+])
+def test_energy_and_its_oracle_refuse_alike(fn, B, mode, message):
+    A = FiniteSet([1, 2]) if B is not None else FiniteSet([0, 2])
+    with pytest.raises(DomainError, match=message):
+        fn(A, B, mode)
+
+
 def test_energy_matches_quadruple_oracle():
     for A in [A123, FiniteSet([1, 2, 4, 8]),
               FiniteSet([Fraction(1, 2), Fraction(2, 3), 5, 7])]:

@@ -20,7 +20,7 @@ from sumprod import (
     solplus_trace,
     verify_suite,
 )
-from sumprod import counting, d_upper, stats
+from sumprod import counting, d_upper, stats, verify
 from sumprod.verify import REGISTRY, SetContext
 from test_approx import product_pow_oracle
 
@@ -228,6 +228,15 @@ def test_solplus_trace_powers():
     assert tr.eta > 0
     assert tr.A_prime <= POWERS4
     assert tr.S_doubleprime <= tr.S_prime
+
+
+def test_solplus_trace_refuses_an_oversized_slice_before_any_fiber_work(monkeypatch):
+    def construction(ctx):
+        raise AssertionError("the fibers were built before the size check")
+
+    monkeypatch.setattr(verify, "_smallL", construction)
+    with pytest.raises(ResourceError, match=r"\|S'_tau\| = 16 exceeds the subset-oracle cap 14"):
+        solplus_trace(FiniteSet([2**i for i in range(32)]))
 
 
 PRIMES64 = FiniteSet(p for p in range(2, 312) if all(p % d for d in range(2, p)))
