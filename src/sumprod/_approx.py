@@ -27,6 +27,9 @@ _EXACT_ROOT_LIMIT = 512
 
 _DECIMAL_DIGITS = 80
 
+with localcontext(Context(prec=_DECIMAL_DIGITS)):
+    _LN2 = Decimal(2).ln()
+
 
 def int_nth_root(n: int, k: int) -> int:
     """Floor of the k-th root of a nonnegative integer."""
@@ -99,4 +102,4 @@ def log2_frac(n: int) -> Fraction:
     if n & (n - 1) == 0:
         return Fraction(n.bit_length() - 1)
     with localcontext(Context(prec=_DECIMAL_DIGITS)):
-        return _decimal_floor(Decimal(n).ln() / Decimal(2).ln())
+        return _decimal_floor(Decimal(n).ln() / _LN2)

@@ -406,7 +406,7 @@ def er_chain(A: FiniteSet, triples_limit: int = TRIPLES_POINT_LIMIT) -> ErChain:
     U = sum(N[x] for x in F)
     sumsq_F = sum(N[x] ** 2 for x in F)
 
-    m = min(ctx.nprod, ctx.nquot)
+    m = ctx.nmin
 
     X = A.union(F)
     T = None

@@ -21,7 +21,7 @@ from math import comb
 from .exactset import (DomainError, FiniteSet, ParseError, canonical_json, format_scalar,
                        parse_scalar)
 from .stats import productset
-from .verify import evaluate
+from .verify import REGISTRY, evaluate
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -244,9 +244,13 @@ def corpus_load(path) -> list[ExtremalRecord]:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj["set"], list):
+                    raise TypeError("the set is not a JSON array")
                 A = FiniteSet(parse_scalar(s) for s in obj["set"])
                 stored = parse_scalar(obj["ratio"])
                 inequality_id = obj["inequality_id"]
+                if inequality_id not in REGISTRY:
+                    raise ValueError(f"unknown registry id {inequality_id!r}")
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise ParseError(f"{path}, line {lineno}: not a corpus record "
                                  f"({type(exc).__name__}: {exc})") from exc

@@ -365,8 +365,13 @@ class SetContext:
         return len(self._result("div")[1])
 
     @cached_property
+    def nmin(self) -> int:
+        """min(|AA|, |A/A|)."""
+        return min(self.nprod, self.nquot)
+
+    @cached_property
     def K(self) -> Fraction:
-        return Fraction(min(self.nprod, self.nquot), self.n)
+        return Fraction(self.nmin, self.n)
 
     @cached_property
     def Ex(self) -> int:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from math import ceil
+from operator import attrgetter
 
 from ._approx import product_pow
 from .counting import _cluster_report, sigma_count
@@ -123,26 +124,17 @@ def _solymosi(size, ctx, params):
                      Fraction(ctx.n**4, 4 * ctx.ceil_log2n))
 
 
-def _sumset_bound(*exponents):
-    """The entry for |A+A| against |A|^a K^b, times (log2 |A|)^c when a c is given."""
-    a, b, *c = map(Fraction, exponents)
+def _bound(lhs, *factors, nonzero=False):
+    """The entry for lhs against the product of the factors (name, exponent):
+    lhs is a `SetContext` attribute name or a function of the context, each
+    name a `SetContext` attribute and each exponent as the paper states it."""
+    lhs = attrgetter(lhs) if isinstance(lhs, str) else lhs
+    factors = [(attrgetter(name), Fraction(e)) for name, e in factors]
 
     def entry(ctx, params):
-        _need(ctx)
-        return _ratio(ctx.nsum, [(ctx.n, a), (ctx.K, b)] + [(ctx.log2n, e) for e in c])
+        _need(ctx, nonzero=nonzero)
+        return _ratio(lhs(ctx), [(base(ctx), e) for base, e in factors])
     return entry
-
-
-def _soly_max(ctx, params):
-    _need(ctx)
-    return _ratio(max(ctx.nsum, ctx.nprod),
-                  [(ctx.n, Fraction(4, 3)), (ctx.log2n, Fraction(-1, 3))])
-
-
-def _prev_da(ctx, params):
-    _need(ctx, nonzero=True)
-    return _ratio(ctx.nsum, [(ctx.n, Fraction(58, 37)),
-                             (ctx.dhat.d_upper, Fraction(-21, 37))])
 
 
 def _cs_subs(ctx, params):
@@ -152,7 +144,7 @@ def _cs_subs(ctx, params):
     if not (A1 <= ctx.A and A2 <= ctx.A):
         raise DomainError("CS-SUBS requires A1, A2 subsets of A")
     c = ctx.counts(A1, A2, "mul")
-    lhs = Fraction(int(c @ c)) * min(ctx.nquot, ctx.nprod)
+    lhs = Fraction(int(c @ c)) * ctx.nmin
     return _explicit(lhs, Fraction(len(A1)) ** 2 * Fraction(len(A2)) ** 2)
 
 
@@ -164,11 +156,6 @@ def _levelset(ctx, params):
         raise DomainError("LEVELSET requires tau >= 1")
     lhs = _level_count(ctx.counts(ctx.A, ctx.A, "div"), tau)
     return _hidden(lhs, Fraction(ctx.nsum**2) / tau**2)
-
-
-def _energy_sumset(ctx, params):
-    _need(ctx, nonzero=True)
-    return _ratio(ctx.Ex, [(ctx.nsum**2, 1), (ctx.log2n, 1)])
 
 
 def _da_level(ctx, params):
@@ -190,22 +177,6 @@ def _gen_sigma(ctx, params):
     return lhs, rhs, ratio if lhs > 0 else Fraction(0), False, None
 
 
-def _er(ctx, params):
-    _need(ctx)
-    return _ratio(Fraction(ctx.Ep) ** 4,
-                  [(min(ctx.nprod, ctx.nquot), Fraction(1)),
-                   (ctx.n, Fraction(10)),
-                   (ctx.log2n, Fraction(1))])
-
-
-def _smallmd_energy(ctx, params):
-    _need(ctx, nonzero=True)
-    return _ratio(ctx.Ex, [(ctx.K, Fraction(1, 4)),
-                           (ctx.n, Fraction(5, 8)),
-                           (ctx.nsum, Fraction(3, 2)),
-                           (ctx.log2n, Fraction(3, 4))])
-
-
 def _prop_crit(product: bool, ctx, params):
     """E× of AA (product) or of A/A against E×(A)^3 / (L^32 |A|^4)."""
     _need(ctx, nonzero=True)
@@ -217,12 +188,6 @@ def _prop_crit(product: bool, ctx, params):
     L = ctx.L_prod if product else ctx.L_quot
     return _hidden(Fraction(SetContext(big).Ex),
                    Fraction(ctx.Ex) ** 3 / (L**32 * Fraction(ctx.n) ** 4))
-
-
-def _solplus(ctx, params):
-    _need(ctx)
-    return _ratio(max(ctx.nsum, min(ctx.nprod, ctx.nquot)),
-                  [(ctx.n, Fraction(4, 3) + SOLPLUS_C)])
 
 
 def _lemma3(ctx, params):
@@ -242,28 +207,30 @@ def _lemma3(ctx, params):
     return lhs, rhs, lhs / rhs if rhs > 0 else lhs, True, passed
 
 
-#: the |A+A| >= |A|^a K^b (log2 |A|)^c bounds carry their exponents (a, b[, c])
+#: the rendered bounds are rows (lhs, factors), with the paper's exponents;
+#: MAIN-B and SMALL2 carry the same bound
 REGISTRY = {
     "SOLY-PROD": partial(_solymosi, "nprod"),
     "SOLY-QUOT": partial(_solymosi, "nquot"),
-    "SOLY-MAX": _soly_max,
-    "COR-SOL": _sumset_bound("3/2", "-1/2"),
-    "PREV": _sumset_bound("58/37", "-42/37"),
-    "PREV-DA": _prev_da,
-    "MAIN-A": _sumset_bound("19/12", "-5/6"),
-    "MAIN-B": _sumset_bound("49/32", "-19/32"),
+    "SOLY-MAX": _bound(lambda ctx: max(ctx.nsum, ctx.nprod), ("n", "4/3"), ("log2n", "-1/3")),
+    "COR-SOL": _bound("nsum", ("n", "3/2"), ("K", "-1/2")),
+    "PREV": _bound("nsum", ("n", "58/37"), ("K", "-42/37")),
+    "PREV-DA": _bound("nsum", ("n", "58/37"), ("dhat.d_upper", "-21/37"), nonzero=True),
+    "MAIN-A": _bound("nsum", ("n", "19/12"), ("K", "-5/6")),
+    "MAIN-B": _bound("nsum", ("n", "49/32"), ("K", "-19/32")),
     "CS-SUBS": _cs_subs,
     "LEVELSET": _levelset,
-    "ENERGY-SUMSET": _energy_sumset,
+    "ENERGY-SUMSET": _bound("Ex", ("nsum", 2), ("log2n", 1), nonzero=True),
     "DA-LEVEL": _da_level,
     "GEN-SIGMA": _gen_sigma,
-    "ER": _er,
-    "SMALLMD-ENERGY": _smallmd_energy,
-    "SMALLMD": _sumset_bound("19/12", "-5/6", "-1/2"),
-    "SMALL2": _sumset_bound("49/32", "-19/32"),
+    "ER": _bound(lambda ctx: ctx.Ep**4, ("nmin", 1), ("n", 10), ("log2n", 1)),
+    "SMALLMD-ENERGY": _bound("Ex", ("K", "1/4"), ("n", "5/8"), ("nsum", "3/2"), ("log2n", "3/4"),
+                             nonzero=True),
+    "SMALLMD": _bound("nsum", ("n", "19/12"), ("K", "-5/6"), ("log2n", "-1/2")),
+    "SMALL2": _bound("nsum", ("n", "49/32"), ("K", "-19/32")),
     "PROP-CRIT-Q": partial(_prop_crit, False),
     "PROP-CRIT-P": partial(_prop_crit, True),
-    "SOLPLUS": _solplus,
+    "SOLPLUS": _bound(lambda ctx: max(ctx.nsum, ctx.nmin), ("n", Fraction(4, 3) + SOLPLUS_C)),
     "LEMMA3": _lemma3,
 }
 

@@ -259,7 +259,10 @@ def test_corpus_empty_file(tmp_path):
     assert corpus_load(path) == []
 
 
-@pytest.mark.parametrize("bad", ["{not json", '{"set": ["1", "2"]}', '{"set": [1, 2]}', "[]"])
+@pytest.mark.parametrize("bad", [
+    "{not json", '{"set": ["1", "2"]}', '{"set": [1, 2]}', "[]",
+    '{"set": "123", "inequality_id": "SOLY-PROD", "ratio": "1"}',
+    '{"set": ["1", "2", "3"], "inequality_id": "NOPE", "ratio": "1"}'])
 def test_corpus_malformed_line_is_a_parse_error(tmp_path, bad):
     path = tmp_path / "corpus.jsonl"
     rec = search_extremal("SOLY-PROD", 3, "exhaustive",

@@ -2,7 +2,8 @@
 imports a private name of `stats` (`_pair_keys`, `_ordered`, ...), takes
 one as an attribute of it, or reads a private member of a `SetContext`.
 Only `evaluate` and `verify_suite` build an `InequalityReport`: the registry
-entries return numbers.  No function imports a sibling module: the modules
+entries return numbers.  Only the factory `_bound` and GEN-SIGMA's entry call
+`_ratio`, so every other rendered bound is a row of the registry.  No function imports a sibling module: the modules
 import each other at their top, so an import cycle fails at import time.
 The third-party modules the package imports are exactly the runtime
 dependencies `pyproject.toml` declares.  Only `exactset` and `_approx` use
@@ -62,17 +63,22 @@ def test_no_module_but_stats_reaches_a_private_stats_name(path):
 REPORT_BUILDERS = {"evaluate", "verify_suite"}
 
 
-def report_builders(source: str) -> set[str]:
+def callers(source: str, *names: str) -> set[str]:
     """The top-level definitions of a module (``<module>`` for the rest) that
-    construct an `InequalityReport` or call `_digest`."""
+    call one of the names, bare or as an attribute."""
     found = set()
     for top in ast.parse(source).body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call) and (
                     getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            ) in ("InequalityReport", "_digest"):
+            ) in names:
                 found.add(getattr(top, "name", "<module>"))
     return found
+
+
+def report_builders(source: str) -> set[str]:
+    """The top-level definitions that construct an `InequalityReport` or call `_digest`."""
+    return callers(source, "InequalityReport", "_digest")
 
 
 def test_the_checker_sees_every_report_builder():
@@ -85,6 +91,24 @@ def test_the_checker_sees_every_report_builder():
 def test_only_evaluate_and_verify_suite_build_reports():
     found = report_builders((SRC / "verify.py").read_text(encoding="utf-8"))
     assert found <= REPORT_BUILDERS, f"{sorted(found - REPORT_BUILDERS)} build reports"
+
+
+RATIO_CALLERS = {"_bound", "_gen_sigma"}
+
+
+def test_the_checker_sees_every_ratio_caller():
+    source = ("def _bound(*factors):\n    def entry(ctx, p):\n        return _ratio(1, [])\n"
+              "    return entry\n"
+              "def _er(ctx, p):\n    return verify._ratio(ctx.Ep, [])\n"
+              "R = {'X': lambda ctx, p: _ratio(ctx.Ex, [])}\n"
+              "def _ratio(lhs, factors):\n    return product_pow(factors)\n")
+    assert callers(source, "_ratio") == {"_bound", "_er", "<module>"}
+    assert callers("def _prev(ctx, p):\n    return _explicit(1, 2)", "_ratio") == set()
+
+
+def test_only_the_factory_and_gen_sigma_call_ratio():
+    found = callers((SRC / "verify.py").read_text(encoding="utf-8"), "_ratio")
+    assert found <= RATIO_CALLERS, f"{sorted(found - RATIO_CALLERS)} call _ratio"
 
 
 def function_level_imports(source: str) -> set[str]:
