@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from math import ceil
 from operator import attrgetter
 
 from ._approx import product_pow
@@ -36,6 +35,8 @@ from .stats import SetContext, pair_counts
 SOLPLUS_C = Fraction(1, 20598) - Fraction(1, 10**6)
 
 QUOTIENT_ENERGY_CAP = 2000
+LEVEL_TAU = 2  # LEVELSET and DA-LEVEL count the values with at least this many representations
+LEMMA3_M = 2  # slopes per cluster group
 LEMMA3_PAIR_BUDGET = 200_000
 BSG_MAX_SIZE = 14  # the subset oracle enumerates all 2^|S| subsets
 
@@ -81,9 +82,9 @@ def _digest(A: FiniteSet) -> str:
     return f"|A|={len(A)};min={format_scalar(A.min())};max={format_scalar(A.max())};{h}"
 
 
-def _need(ctx: SetContext, min_size=2, nonzero=False, positive=False):
-    if ctx.n < min_size:
-        raise DomainError(f"entry requires |A| >= {min_size}")
+def _need(ctx: SetContext, nonzero=False, positive=False):
+    if ctx.n < 2:
+        raise DomainError("entry requires |A| >= 2")
     if nonzero and ctx.A.has_zero():
         raise DomainError("entry requires 0 not in A")
     if positive and not ctx.A.is_positive():
@@ -109,15 +110,14 @@ def _ratio(lhs, factors):
     return lhs, rhs, ratio, False, None
 
 
-def _level_count(counts, tau) -> Fraction:
-    """How many of the counts reach tau."""
-    level = ceil(tau)  # integer counts against an integer level
-    return Fraction(sum(1 for c in counts.tolist() if c >= level))
+def _level_count(counts) -> Fraction:
+    """How many of the counts reach `LEVEL_TAU`."""
+    return Fraction(sum(1 for c in counts.tolist() if c >= LEVEL_TAU))
 
 
 # -- registry entries ------------------------------------------------------
 
-def _solymosi(size, ctx, params):
+def _solymosi(size, ctx):
     """|A+A|^2 |AA| >= |A|^4 / (4 ceil(log2 |A|)), or with |A/A|; size names which."""
     _need(ctx)
     return _explicit(Fraction(ctx.nsum) ** 2 * getattr(ctx, size),
@@ -131,16 +131,16 @@ def _bound(lhs, *factors, nonzero=False):
     lhs = attrgetter(lhs) if isinstance(lhs, str) else lhs
     factors = [(attrgetter(name), Fraction(e)) for name, e in factors]
 
-    def entry(ctx, params):
+    def entry(ctx):
         _need(ctx, nonzero=nonzero)
         return _ratio(lhs(ctx), [(base(ctx), e) for base, e in factors])
     return entry
 
 
-def _cs_subs(ctx, params):
+def _cs_subs(ctx, A1=None, A2=None):
     _need(ctx, nonzero=True)
-    A1 = params.get("A1", ctx.A)
-    A2 = params.get("A2", ctx.A)
+    A1 = ctx.A if A1 is None else A1
+    A2 = ctx.A if A2 is None else A2
     if not (A1 <= ctx.A and A2 <= ctx.A):
         raise DomainError("CS-SUBS requires A1, A2 subsets of A")
     c = ctx.counts(A1, A2, "mul")
@@ -148,26 +148,20 @@ def _cs_subs(ctx, params):
     return _explicit(lhs, Fraction(len(A1)) ** 2 * Fraction(len(A2)) ** 2)
 
 
-def _levelset(ctx, params):
-    tau = Fraction(params.get("tau", 2))
+def _levelset(ctx):
     if ctx.n < 2:
         raise DomainError("LEVELSET requires min size 2")
-    if tau < 1:
-        raise DomainError("LEVELSET requires tau >= 1")
-    lhs = _level_count(ctx.counts(ctx.A, ctx.A, "div"), tau)
-    return _hidden(lhs, Fraction(ctx.nsum**2) / tau**2)
+    lhs = _level_count(ctx.counts(ctx.A, ctx.A, "div"))
+    return _hidden(lhs, Fraction(ctx.nsum**2, LEVEL_TAU**2))
 
 
-def _da_level(ctx, params):
+def _da_level(ctx):
     _need(ctx, nonzero=True)
-    tau = Fraction(params.get("tau", 2))
-    if tau < 1:
-        raise DomainError("DA-LEVEL requires tau >= 1")
-    lhs = _level_count(ctx.counts(ctx.A, ctx.A, "add"), tau)
-    return _hidden(lhs, ctx.dhat.d_upper * ctx.n**3 / tau**3)
+    lhs = _level_count(ctx.counts(ctx.A, ctx.A, "add"))
+    return _hidden(lhs, ctx.dhat.d_upper * ctx.n**3 / LEVEL_TAU**3)
 
 
-def _gen_sigma(ctx, params):
+def _gen_sigma(ctx):
     """The solutions of x + y = z in A against d(A)^{1/3} |A|^{5/3}."""
     _need(ctx, nonzero=True)
     lhs = Fraction(sigma_count(1, ctx.A, 1, ctx.A, -1, ctx.A).count)
@@ -177,7 +171,7 @@ def _gen_sigma(ctx, params):
     return lhs, rhs, ratio if lhs > 0 else Fraction(0), False, None
 
 
-def _prop_crit(product: bool, ctx, params):
+def _prop_crit(product: bool, ctx):
     """E× of AA (product) or of A/A against E×(A)^3 / (L^32 |A|^4)."""
     _need(ctx, nonzero=True)
     size = ctx.nprod if product else ctx.nquot
@@ -190,15 +184,12 @@ def _prop_crit(product: bool, ctx, params):
                    Fraction(ctx.Ex) ** 3 / (L**32 * Fraction(ctx.n) ** 4))
 
 
-def _lemma3(ctx, params):
+def _lemma3(ctx):
     _need(ctx, nonzero=True, positive=True)
-    chosen = _choose_slice(ctx)[2]
-    if chosen is None:
-        raise DomainError("LEMMA3: no qualifying dyadic slice")
-    cluster = _cluster_report(ctx, chosen[0], params.get("M", 2), LEMMA3_PAIR_BUDGET)
+    cluster = _cluster_report(ctx, _choose_slice(ctx)[2][0], LEMMA3_M, LEMMA3_PAIR_BUDGET)
     lhs = Fraction(ctx.nsum) ** 2
-    both = all(cluster.conditions_ok)
-    rhs = cluster.lemma_rhs if (both and cluster.lemma_rhs is not None) else Fraction(0)
+    both = all(cluster.conditions_ok)  # both hold only when sigma, and so lemma_rhs, exists
+    rhs = cluster.lemma_rhs if both else Fraction(0)
     passed = True
     if both:
         passed = bool(cluster.lemma_pass) and cluster.sums_total <= ctx.nsum**2
@@ -237,14 +228,15 @@ REGISTRY = {
 
 def evaluate(rid: str, A: FiniteSet, params: dict | None = None,
              ctx: SetContext | None = None) -> InequalityReport:
-    """Evaluate one registry entry on A; a given ctx must be A's."""
+    """Evaluate one registry entry on A; a given ctx must be A's.  params are
+    keyword arguments of the entry: only CS-SUBS takes any, its subsets A1 and A2."""
     if rid not in REGISTRY:
         raise DomainError(f"unknown registry id {rid!r}")
     if ctx is None:
         ctx = SetContext(A)
     elif ctx.A != A:
         raise DomainError("the context is for another set")
-    lhs, rhs, ratio, explicit, passed = REGISTRY[rid](ctx, params or {})
+    lhs, rhs, ratio, explicit, passed = REGISTRY[rid](ctx, **(params or {}))
     return InequalityReport(id=rid, lhs=lhs, rhs=rhs, ratio=ratio, explicit=explicit,
                             passed=passed, inputs=_digest(A))
 
@@ -271,6 +263,7 @@ def verify_suite(A: FiniteSet, ids: list[str] | None = None) -> list[InequalityR
 class SmallLReport:
     """Selected dyadic slice and the per-fiber lower-bound ratios.
 
+    A slice is always selected (see `_choose_slice`), so no field is None.
     S_doubleprime holds the floor(|S_tau|/2) slopes of smallest fiber
     additive energy; S_prime is the rest (both equal S_tau when it is a
     singleton).  The *_ratio fields compare against the tau^3 / tau^2
@@ -279,26 +272,30 @@ class SmallLReport:
 
     L: Fraction
     L_prod: Fraction
-    tau: Scalar | None
-    S_tau: FiniteSet | None
-    S_prime: FiniteSet | None
-    S_doubleprime: FiniteSet | None
-    min_additive_energy_ratio: Fraction | None
-    min_quotient_ratio: Fraction | None
-    min_product_ratio: Fraction | None
+    tau: Scalar
+    S_tau: FiniteSet
+    S_prime: FiniteSet
+    S_doubleprime: FiniteSet
+    min_additive_energy_ratio: Fraction
+    min_quotient_ratio: Fraction
+    min_product_ratio: Fraction
     diagnostics: dict = field(default_factory=dict)
 
 
 def _choose_slice(ctx: SetContext):
     """The threshold E×(A)/(2|A|^2), the nonempty slices (tau, |S_tau|) at or
-    above it, and the one of maximal |S_tau| tau^2 (then tau) among them, or None."""
+    above it, and the one of maximal |S_tau| tau^2 (then tau) among them.
+
+    One slice always qualifies: with s the largest |A_lambda|, E×(A) = sum
+    |A_lambda|^2 <= s sum |A_lambda| = s |A|^2, and the window tau < s <= 2 tau
+    holding s has tau >= s/2 >= E×(A)/(2|A|^2)."""
     if ctx.n < 2:
         raise DomainError("construction requires |A| >= 2")
     if ctx.A.has_zero():
         raise DomainError("construction requires 0 not in A")
     threshold = Fraction(ctx.Ex, 2 * ctx.n**2)
     qualifying = [(tau, size) for tau, size in ctx.slices if size and tau >= threshold]
-    chosen = max(qualifying, key=lambda s: (s[1] * s[0]**2, s[0]), default=None)
+    chosen = max(qualifying, key=lambda s: (s[1] * s[0]**2, s[0]))
     return threshold, qualifying, chosen
 
 
@@ -309,22 +306,14 @@ def smallL_construction(A: FiniteSet) -> SmallLReport:
 
 
 def _smallL(ctx: SetContext) -> SmallLReport:
-    threshold, qualifying, chosen = _choose_slice(ctx)
+    threshold, qualifying, (tau, _) = _choose_slice(ctx)
     diagnostics = {
         "threshold": threshold,
         "energy_mul": ctx.Ex,
-        "slice_mass_all": sum(size * tau**2 for tau, size in ctx.slices),
-        "slice_mass_qualifying": sum(size * tau**2 for tau, size in qualifying),
+        "slice_mass_all": sum(size * t**2 for t, size in ctx.slices),
+        "slice_mass_qualifying": sum(size * t**2 for t, size in qualifying),
         "n_slices": len(ctx.slices),
     }
-    if chosen is None:
-        return SmallLReport(L=ctx.L_quot, L_prod=ctx.L_prod, tau=None,
-                            S_tau=None, S_prime=None, S_doubleprime=None,
-                            min_additive_energy_ratio=None,
-                            min_quotient_ratio=None, min_product_ratio=None,
-                            diagnostics=diagnostics)
-
-    tau = chosen[0]
     fibers = {lam: SetContext(fiber) for lam, fiber in ctx.fibers(tau).items()}
     S_tau = FiniteSet.from_sorted(list(fibers))
 
@@ -390,8 +379,6 @@ def solplus_trace(A: FiniteSet) -> SolPlusTrace:
     """Trace L, L', eta and the dense-subset/dilation step on a small set."""
     ctx = SetContext(A)
     chosen = _choose_slice(ctx)[2]
-    if chosen is None:
-        raise DomainError("no qualifying dyadic slice")
     size = chosen[1] - chosen[1] // 2  # S''_tau takes floor(|S_tau|/2) slopes, S'_tau the rest
     if size > BSG_MAX_SIZE:
         raise ResourceError(f"|S'_tau| = {size} exceeds the subset-oracle cap {BSG_MAX_SIZE}")

@@ -3,18 +3,23 @@ imports a private name of `stats` (`_pair_keys`, `_ordered`, ...), takes
 one as an attribute of it, or reads a private member of a `SetContext`.
 Only `evaluate` and `verify_suite` build an `InequalityReport`: the registry
 entries return numbers.  Only the factory `_bound` and GEN-SIGMA's entry call
-`_ratio`, so every other rendered bound is a row of the registry.  No function imports a sibling module: the modules
+`_ratio`, so every other rendered bound is a row of the registry.  Every
+registry entry is a function of the context alone, but for CS-SUBS's subsets
+A1 and A2.  No function imports a sibling module: the modules
 import each other at their top, so an import cycle fails at import time.
 The third-party modules the package imports are exactly the runtime
 dependencies `pyproject.toml` declares.  Only `exactset` and `_approx` use
 `math.lcm`, and only `exactset` `json.dumps`."""
 
 import ast
+import inspect
 import re
 import sys
 from pathlib import Path
 
 import pytest
+
+from sumprod.verify import REGISTRY
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sumprod"
 
@@ -109,6 +114,15 @@ def test_the_checker_sees_every_ratio_caller():
 def test_only_the_factory_and_gen_sigma_call_ratio():
     found = callers((SRC / "verify.py").read_text(encoding="utf-8"), "_ratio")
     assert found <= RATIO_CALLERS, f"{sorted(found - RATIO_CALLERS)} call _ratio"
+
+
+def test_registry_entries_take_the_context_and_no_setting():
+    for rid, entry in REGISTRY.items():
+        params = inspect.signature(entry).parameters.values()
+        required = [p.name for p in params if p.default is p.empty]
+        optional = {p.name: p.default for p in params if p.default is not p.empty}
+        assert len(required) == 1, f"{rid} requires {required}"
+        assert optional == ({"A1": None, "A2": None} if rid == "CS-SUBS" else {}), rid
 
 
 def function_level_imports(source: str) -> set[str]:

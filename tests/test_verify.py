@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sumprod import (
     DomainError,
@@ -27,6 +27,7 @@ from test_approx import product_pow_oracle
 A123 = FiniteSet([1, 2, 3])
 POWERS4 = FiniteSet([1, 2, 4, 8])
 GP16 = FiniteSet([2**i for i in range(16)])
+S8 = FiniteSet([1, 2, 3, 4, 6, 8, 12, 16])  # LEMMA3 runs its cluster report
 
 
 def test_soly_prod_fixture():
@@ -50,18 +51,29 @@ def test_cs_subs_fixture():
 
 
 def test_levelset_fixture():
-    r = evaluate("LEVELSET", A123, {"tau": 2})
+    r = evaluate("LEVELSET", A123)
     assert (r.lhs, r.rhs, r.ratio) == (1, Fraction(25, 4), Fraction(4, 25))
     assert r.passed is None and not r.explicit
 
 
-@pytest.mark.parametrize("tau", [1, Fraction(3, 2), 2, Fraction(5, 2), 10**20])
+@pytest.mark.parametrize("tau", [verify.LEVEL_TAU])
 def test_level_counts_at_rational_tau(tau):
     A = FiniteSet([1, 2, 3, 4, 6, 8, 12])
     quotients = Counter(a / b for a in A for b in A)
     sums = Counter(a + b for a in A for b in A)
-    assert evaluate("LEVELSET", A, {"tau": tau}).lhs == sum(c >= tau for c in quotients.values())
-    assert evaluate("DA-LEVEL", A, {"tau": tau}).lhs == sum(c >= tau for c in sums.values())
+    assert tau == 2
+    assert evaluate("LEVELSET", A).lhs == sum(c >= tau for c in quotients.values())
+    assert evaluate("DA-LEVEL", A).lhs == sum(c >= tau for c in sums.values())
+
+
+@pytest.mark.parametrize("rid, A, params", [
+    ("LEVELSET", A123, {"tau": 3}),
+    ("LEMMA3", S8, {"M": 3}),
+    ("SOLY-PROD", A123, {"A1": A123}),
+], ids=["LEVELSET", "LEMMA3", "SOLY-PROD"])
+def test_an_unknown_parameter_is_refused(rid, A, params):
+    with pytest.raises(TypeError):
+        evaluate(rid, A, params)
 
 
 def test_main_a_gp16():
@@ -161,17 +173,27 @@ def test_smallL_powers():
     assert rep.S_doubleprime <= rep.S_tau and rep.S_prime <= rep.S_tau
 
 
-def test_smallL_dyadic_accounting():
+nonzero_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
+
+
+@given(st.sets(nonzero_rationals, min_size=2, max_size=8).map(FiniteSet))
+@example(A123)
+@example(POWERS4)
+@example(GP16)
+@example(FiniteSet([3, 5, 7, 11, 13]))
+@settings(max_examples=60, deadline=None)
+def test_smallL_dyadic_accounting(A):
     # the slice masses obey the factor-4 window bound; the selected slice
     # carries at least its share of the qualifying mass
-    for A in (A123, POWERS4, GP16, FiniteSet([3, 5, 7, 11, 13])):
-        rep = smallL_construction(A)
-        d = rep.diagnostics
-        assert 4 * d["slice_mass_all"] >= d["energy_mul"]
-        if rep.tau is not None:
-            selected_mass = len(rep.S_tau) * rep.tau**2
-            assert selected_mass * d["n_slices"] >= d["slice_mass_qualifying"]
-            assert rep.tau >= d["threshold"]
+    rep = smallL_construction(A)
+    d = rep.diagnostics
+    assert 4 * d["slice_mass_all"] >= d["energy_mul"]
+    selected_mass = len(rep.S_tau) * rep.tau**2
+    assert selected_mass * d["n_slices"] >= d["slice_mass_qualifying"]
+    assert rep.tau >= d["threshold"]
+    # E_x(A) <= max_fiber * |A|^2, so the window of the largest fiber qualifies
+    max_fiber = SetContext(A).max_fiber
+    assert Fraction(1, 2) * 2 ** ((max_fiber - 1).bit_length()) >= d["threshold"]
 
 
 def test_smallL_preconditions():
@@ -283,9 +305,6 @@ def test_suite_context_matches_fresh_contexts(values, with_zero):
     assert got == expected
 
 
-S8 = FiniteSet([1, 2, 3, 4, 6, 8, 12, 16])  # LEMMA3 runs its cluster report
-
-
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Counts stats._pair_keys calls by op, and whether both sides were S8."""
@@ -333,10 +352,11 @@ def test_lemma3_checks_M_before_any_cluster_work(kernel_calls, monkeypatch):
     for module, name in ((counting, "sigma_max"), (SetContext, "fibers"),
                          (stats, "sumset"), (stats, "lambda_set")):
         monkeypatch.setattr(module, name, fail)
+    # the chosen window of {1, 2} (tau = 1) holds the one slope 1, fewer than M = 2
     with pytest.raises(DomainError, match="M exceeds the number of available slopes"):
-        evaluate("LEMMA3", S8, {"M": 50})
+        evaluate("LEMMA3", FiniteSet([1, 2]))
     # E_x for the slice choice and A/A for the window; A+A is not counted
-    assert kernel_calls == {("mul", True): 1, ("div", True): 1}
+    assert kernel_calls == {("mul", False): 1, ("div", False): 1}
 
 
 def test_lemma3_refuses_a_slope_triple_before_any_incidence_count(monkeypatch):
