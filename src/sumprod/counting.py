@@ -53,26 +53,21 @@ def sigma_count(a1, A1: FiniteSet, a2, A2: FiniteSet, a3, A3: FiniteSet) -> Sigm
     return SigmaResult(count=count, coefficients=(a1, a2, a3))
 
 
-def _line_candidates(line) -> list[tuple[Fraction, Fraction]]:
-    """Representative points of the line p*b + q*c = r with b, c != 0."""
+def _line_candidates(line) -> list[tuple[int, int, int]]:
+    """Representative points of the line p*b + q*c = r with b, c != 0, each
+    as homogeneous integers (b, c, d) with d > 0 for the point (b/d, c/d)."""
     p, q, r = line
-    out = []
-    if p + q != 0:
-        v = Fraction(r, p + q)
-        if v != 0:
-            out.append((v, v))
+    out = [(r, r, p + q)] if p + q != 0 and r != 0 else []
     for t in (1, -1, 2, -2):
         if q != 0:
-            c = Fraction(r - p * t, q)
-            if c != 0:
-                out.append((Fraction(t), c))
+            if r != p * t:
+                out.append((q * t, r - p * t, q))
         elif r != 0:
-            out.append((Fraction(r, p), Fraction(t)))
-    return out
+            out.append((r, p * t, p))
+    return [(b, c, d) if d > 0 else (-b, -c, -d) for b, c, d in out]
 
 
-def sigma_max(A1: FiniteSet, A2: FiniteSet, A3: FiniteSet,
-              pair_budget: int = SIGMA_PAIR_BUDGET) -> SigmaResult:
+def sigma_max(A1: FiniteSet, A2: FiniteSet, A3: FiniteSet) -> SigmaResult:
     """Exact max over nonzero (a2, a3) of sigma_count(1, A1, a2, A2, a3, A3).
 
     Over a common denominator the sets become integers, and a triple
@@ -88,9 +83,10 @@ def sigma_max(A1: FiniteSet, A2: FiniteSet, A3: FiniteSet,
     its first line.  Every line except the axes b = 0 and c = 0 also has
     points on no other line, which attain its own weight.  Ties go to the
     lexicographically smallest (a2, a3) among the maximal intersections
-    and the `_line_candidates` points of maximal lines.
+    and the `_line_candidates` points of maximal lines.  More than
+    `SIGMA_PAIR_BUDGET` line pairs are refused.
     """
-    return _sigma_incidences(*_sigma_lines(A1, A2, A3, pair_budget))
+    return _sigma_incidences(*_sigma_lines(A1, A2, A3, SIGMA_PAIR_BUDGET))
 
 
 def _sigma_lines(A1: FiniteSet, A2: FiniteSet, A3: FiniteSet,
@@ -121,12 +117,19 @@ def _sigma_lines(A1: FiniteSet, A2: FiniteSet, A3: FiniteSet,
     return lines, base
 
 
+def _precedes(u, v) -> bool:
+    """Whether the homogeneous point u = (b, c, d), d > 0, is lexicographically
+    before v, or v is None; compared by integer cross-multiplication."""
+    return v is None or (u[0] * v[2], u[1] * v[2]) < (v[0] * u[2], v[1] * u[2])
+
+
 def _sigma_incidences(lines: Counter, base: int) -> SigmaResult:
-    """`sigma_max` from its weighted lines by integer incidence counting."""
+    """`sigma_max` from its weighted lines by integer incidence counting,
+    keeping one maximizer `top`: the lexicographically first maximal point so far."""
     # the axes meet every other line at b = 0 or c = 0, so they drop out
     free = [(ln, w) for ln, w in lines.items() if ln not in ((1, 0, 0), (0, 1, 0))]
     best = max((w for _, w in free), default=0)
-    points = []
+    top = None
     for i, ((p1, q1, r1), w1) in enumerate(free):
         hits: dict[tuple[int, int, int], int] = {}
         for (p2, q2, r2), w2 in free[i + 1:]:
@@ -142,16 +145,18 @@ def _sigma_incidences(lines: Counter, base: int) -> SigmaResult:
             hits[key] = hits.get(key, 0) + w2
         for key, w in hits.items():
             if w1 + w > best:
-                best, points = w1 + w, [key]
-            elif w1 + w == best:
-                points.append(key)
+                best, top = w1 + w, key
+            elif w1 + w == best and _precedes(key, top):
+                top = key
 
-    candidates = [(Fraction(b, d), Fraction(c, d)) for b, c, d in points]
-    candidates += [pt for ln, w in free if w == best for pt in _line_candidates(ln)]
-    if not candidates:
+    for pt in (pt for ln, w in free if w == best for pt in _line_candidates(ln)):
+        if _precedes(pt, top):
+            top = pt
+    if top is None:
         return SigmaResult(count=base, coefficients=(Fraction(1), Fraction(1), Fraction(1)))
-    b, c = min(candidates)
-    return SigmaResult(count=base + best, coefficients=(Fraction(1), b, c))
+    b, c, d = top
+    return SigmaResult(count=base + best,
+                       coefficients=(Fraction(1), Fraction(b, d), Fraction(c, d)))
 
 
 # -- collinear triples -----------------------------------------------------
@@ -328,8 +333,8 @@ def _cluster_report(ctx: SetContext, tau, M: int, pair_budget: int) -> ClusterRe
     nsum, box = ctx.nsum, ctx.rep_counts("add")
     ordered = list(slopes.elements)
     k = len(ordered) // M
+    rho = tau**2 * comb(M, 2) - sigma * Fraction(M) ** 4 if sigma is not None else None
     per_group: list[tuple[int, Fraction]] = []
-    sums_total = 0
     in_box = True
     for j in range(k):
         group = ordered[j * M:(j + 1) * M]
@@ -342,31 +347,20 @@ def _cluster_report(ctx: SetContext, tau, M: int, pair_budget: int) -> ClusterRe
                 for y in fibers[lb]:
                     pts.add((x / la + y / lb, x + y))
         in_box = in_box and all(c in box for p in pts for c in p)
-        rho = (tau**2 * comb(M, 2) - sigma * Fraction(M) ** 4
-               if sigma is not None else None)
         per_group.append((len(pts), rho))
-        sums_total += len(pts)
 
     if sigma is None:
-        conditions = (False, False)
-        lemma_rhs = None
-        lemma_pass = None
+        conditions, lemma_rhs, lemma_pass = (False, False), None, None
     else:
-        cond1 = 32 * sigma <= tau**2
-        cond2 = tau**4 <= Fraction(nsum) ** 2 * sigma
-        conditions = (cond1, cond2)
-        if sigma > 0:
-            lemma_rhs = tau**3 * len(slopes) / (128 * sqrt_frac(Fraction(sigma)))
-            # exact: |A+A|^2 >= tau^3 |S'| / (128 sqrt(sigma))
-            lemma_pass = ((Fraction(nsum) ** 2 * 128) ** 2 * sigma
-                          >= (tau**3 * len(slopes)) ** 2)
-        else:
-            lemma_rhs = Fraction(0)
-            lemma_pass = True
+        # sigma >= 1: A > 0, so each fiber triple gives a line x2*b + x3*c = -x1 off the axes
+        conditions = (32 * sigma <= tau**2, tau**4 <= Fraction(nsum) ** 2 * sigma)
+        lemma_rhs = tau**3 * len(slopes) / (128 * sqrt_frac(Fraction(sigma)))
+        # exact: |A+A|^2 >= tau^3 |S'| / (128 sqrt(sigma))
+        lemma_pass = (Fraction(nsum) ** 2 * 128) ** 2 * sigma >= (tau**3 * len(slopes)) ** 2
 
     return ClusterReport(tau=tau, M=M, group_count=k, per_group=per_group,
                          sigma_used=sigma, conditions_ok=conditions,
-                         sums_total=sums_total, sums_in_box=in_box,
+                         sums_total=sum(n for n, _ in per_group), sums_in_box=in_box,
                          lemma_rhs=lemma_rhs, lemma_pass=lemma_pass,
                          slopes=slopes)
 

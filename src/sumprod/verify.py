@@ -149,8 +149,7 @@ def _cs_subs(ctx, A1=None, A2=None):
 
 
 def _levelset(ctx):
-    if ctx.n < 2:
-        raise DomainError("LEVELSET requires min size 2")
+    _need(ctx)
     lhs = _level_count(ctx.counts(ctx.A, ctx.A, "div"))
     return _hidden(lhs, Fraction(ctx.nsum**2, LEVEL_TAU**2))
 

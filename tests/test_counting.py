@@ -23,11 +23,7 @@ from sumprod import (
     solymosi_cluster_report,
 )
 from sumprod import counting
-from sumprod.counting import (
-    SIGMA_PAIR_BUDGET,
-    _line_candidates,
-    cluster_sigma,
-)
+from sumprod.counting import cluster_sigma
 from sumprod.stats import SetContext
 
 A123 = FiniteSet([1, 2, 3])
@@ -135,7 +131,19 @@ def _line_of_triple(t1: Fraction, t2: Fraction, t3: Fraction):
     return (Fraction(0), Fraction(1), -t1 / t3)
 
 
-def _sigma_max_direct(A1, A2, A3, pair_budget=SIGMA_PAIR_BUDGET):
+def _line_points(p: Fraction, q: Fraction, r: Fraction) -> set:
+    """The points of the line p*b + q*c = r that break sigma_max's ties: its
+    diagonal point b = c, and its points at b = 1, -1, 2, -2 (at c = 1, -1,
+    2, -2 if q = 0); those with b, c != 0."""
+    pts = {(r / (p + q), r / (p + q))} if p + q != 0 else set()
+    if q != 0:
+        pts |= {(Fraction(t), (r - p * t) / q) for t in (1, -1, 2, -2)}
+    else:
+        pts |= {(r / p, Fraction(t)) for t in (1, -1, 2, -2)}
+    return {(b, c) for b, c in pts if b != 0 and c != 0}
+
+
+def _sigma_max_direct(A1, A2, A3):
     """Oracle for sigma_max: every pairwise intersection of the triples'
     lines, and representative points of each line, counted directly."""
     size = len(A1) * len(A2) * len(A3)
@@ -145,10 +153,10 @@ def _sigma_max_direct(A1, A2, A3, pair_budget=SIGMA_PAIR_BUDGET):
     base = lines.pop(None, 0)
     lines.pop("empty", None)
     distinct = sorted(lines)
-    if comb(len(distinct), 2) > pair_budget:
+    if comb(len(distinct), 2) > counting.SIGMA_PAIR_BUDGET:
         raise ResourceError(
             f"sigma_max candidate enumeration too large: {len(distinct)} lines")
-    candidates = {pt for ln in distinct for pt in _line_candidates(ln)}
+    candidates = set().union(*(_line_points(*ln) for ln in distinct))
     for la, lb in combinations(distinct, 2):
         det = la[0] * lb[1] - lb[0] * la[1]
         if det == 0:
@@ -189,19 +197,35 @@ small_sets = st.sets(st.sampled_from(SMALL_SIGNED), min_size=1, max_size=5).map(
 def test_sigma_max_matches_direct_evaluation(A1, A2, A3):
     assert sigma_max(A1, A2, A3) == _sigma_max_direct(A1, A2, A3)
     # both refuse with the same line count, hence at the same pair budget
-    with pytest.raises(ResourceError) as fast:
-        sigma_max(A1, A2, A3, pair_budget=-1)
-    with pytest.raises(ResourceError) as direct:
-        _sigma_max_direct(A1, A2, A3, pair_budget=-1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "SIGMA_PAIR_BUDGET", -1)
+        with pytest.raises(ResourceError) as fast:
+            sigma_max(A1, A2, A3)
+        with pytest.raises(ResourceError) as direct:
+            _sigma_max_direct(A1, A2, A3)
     assert str(fast.value) == str(direct.value)
+
+
+tie_sets = st.sets(signed_terms, min_size=1, max_size=4).map(FiniteSet)
+
+
+@given(tie_sets, tie_sets, tie_sets)
+@settings(max_examples=60, deadline=None)
+def test_sigma_max_matches_direct_evaluation_on_signed_rationals(A1, A2, A3):
+    # generic values put few triples on one line, so most maxima are ties
+    # and the whole result pins the tie-break
+    assert sigma_max(A1, A2, A3) == _sigma_max_direct(A1, A2, A3)
 
 
 def test_sigma_max_refusal_thresholds(monkeypatch):
     one, three = FiniteSet([1]), FiniteSet([1, 2, 3])  # 9 lines x2*b + x3*c = -1
+    monkeypatch.setattr(counting, "SIGMA_PAIR_BUDGET", comb(9, 2))
     for fn in (sigma_max, _sigma_max_direct):
-        assert fn(one, three, three, pair_budget=comb(9, 2)).count >= 1
+        assert fn(one, three, three).count >= 1
+    monkeypatch.setattr(counting, "SIGMA_PAIR_BUDGET", comb(9, 2) - 1)
+    for fn in (sigma_max, _sigma_max_direct):
         with pytest.raises(ResourceError, match="too large: 9 lines"):
-            fn(one, three, three, pair_budget=comb(9, 2) - 1)
+            fn(one, three, three)
     # 101 * 9901 = 1_000_001, one triple over the limit
     with pytest.raises(ResourceError, match="input too large: 1000001"):
         sigma_max(FiniteSet(range(101)), FiniteSet(range(9901)), one)

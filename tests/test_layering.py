@@ -9,7 +9,8 @@ A1 and A2.  No function imports a sibling module: the modules
 import each other at their top, so an import cycle fails at import time.
 The third-party modules the package imports are exactly the runtime
 dependencies `pyproject.toml` declares.  Only `exactset` and `_approx` use
-`math.lcm`, and only `exactset` `json.dumps`."""
+`math.lcm`, and only `exactset` `json.dumps`.  The σ kernels of `counting`
+count in integers and build a `Fraction` only in a return statement."""
 
 import ast
 import inspect
@@ -232,3 +233,35 @@ def test_each_primitive_lives_in_its_own_module(module, name):
     users = {p.name for p in SRC.glob("*.py")
              if uses_of(p.read_text(encoding="utf-8"), module, name)}
     assert users <= owners, f"{sorted(users - owners)} use {module}.{name}"
+
+
+SIGMA_KERNELS = ("_line_candidates", "_sigma_lines", "_sigma_incidences")
+
+
+def fraction_builders(source: str, *names: str) -> set[str]:
+    """The named top-level functions that call `Fraction` outside a return statement."""
+    found = set()
+    for fn in ast.parse(source).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in names):
+            continue
+        returned = {id(n) for r in ast.walk(fn) if isinstance(r, ast.Return) for n in ast.walk(r)}
+        if any(isinstance(n, ast.Call) and id(n) not in returned and "Fraction" in (
+                getattr(n.func, "id", None), getattr(n.func, "attr", None)) for n in ast.walk(fn)):
+            found.add(fn.name)
+    return found
+
+
+def test_the_checker_sees_every_fraction_built_before_the_return():
+    assert fraction_builders("def f(b, d):\n    return 1, Fraction(b, d)", "f") == set()
+    assert fraction_builders("def f(b, d):\n    x = Fraction(b, d)\n    return x", "f") == {"f"}
+    assert fraction_builders("def f(p):\n    out = [fractions.Fraction(p)]\n    return out",
+                             "f") == {"f"}
+    assert fraction_builders("def f(xs):\n    return min(xs)\n"
+                             "def g(b):\n    return [Fraction(b)]\n"
+                             "def h(b):\n    if b:\n        b = Fraction(b)\n    return b",
+                             "f", "g") == set()
+
+
+def test_sigma_counts_in_integers():
+    found = fraction_builders((SRC / "counting.py").read_text(encoding="utf-8"), *SIGMA_KERNELS)
+    assert not found, f"{sorted(found)} build a Fraction before their result"
