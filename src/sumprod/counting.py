@@ -8,6 +8,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb, gcd
 
@@ -168,12 +169,7 @@ def _canonical_points(points) -> set[tuple[Fraction, Fraction]]:
     return pts
 
 
-def _scaled_point_ints(pts) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The points times their joint denominator, in lexicographic order."""
-    ints, _ = scaled_integers([c for p in pts for c in p])
-    return tuple(zip(*sorted(zip(ints[0::2], ints[1::2]))))
-
-
+_FLOAT_KEY_SPAN = 1 << 24  # below it, float64 direction keys are exact
 _GRID_INT64_SAFE = 1 << 30
 _COLLINEAR_BLOCK = 1 << 13  # pairs per numpy tile
 
@@ -192,37 +188,58 @@ def collinear_triples(points) -> int:
     them share a direction, the c(c-1) summed over the points of a line
     of m points is m(m-1)(m-2)/3, so D3 is three times that sum.
     """
-    pts = _canonical_points(points)
-    n = len(pts)
+    ints, _ = scaled_integers([c for p in _canonical_points(points) for c in p])
+    xs, ys = zip(*sorted(zip(ints[0::2], ints[1::2])))
+    return _collinear_ints(xs, ys)
+
+
+def _collinear_ints(xs, ys) -> int:
+    """`collinear_triples` of the distinct integer points (xs[k], ys[k]),
+    given in lexicographic order, with the tiles' type chosen by the span."""
+    n = len(xs)
     degenerate = n + 3 * n * (n - 1)
     if n <= 2:
         return degenerate
-    xs, ys = _scaled_point_ints(pts)
-    dtype = np.int64 if max(map(abs, xs + ys)) < _GRID_INT64_SAFE else object
+    span = max(max(map(abs, xs)), max(map(abs, ys)))
+    dtype = (np.float64 if span < _FLOAT_KEY_SPAN
+             else np.int64 if span < _GRID_INT64_SAFE else object)
     return degenerate + _distinct_collinear(np.array(xs, dtype), np.array(ys, dtype))
 
 
 def _distinct_collinear(X, Y) -> int:
-    """D3 of lexicographically sorted points, in tiles of the arrays' type:
-    int64 below span 2^30, Python ints (an object array) above.
+    """D3 of distinct, lexicographically sorted integer points, in tiles.
 
     A tile holds at most `_COLLINEAR_BLOCK` pairs: rows i = s..e-1 against
-    the columns j > s.  The direction key dx*(4*span+3) + dy of a later
-    point j > i is positive; the entries j <= i get the distinct negative
-    keys -j, runs of length one that add nothing.
+    the columns j > s.  Each later point j > i is keyed by its direction
+    (dx, dy) from i, with dx > 0, or dx = 0 and dy > 0; the cells j <= i
+    get distinct keys that no direction has, runs of length one that add
+    nothing.  The key follows the arrays' type, which the span sets:
+
+    * float64, span below 2^24: t = dy / (dx + |dy|), in [-1, 1] and
+      strictly increasing in the slope, so one value per direction; the
+      cells j <= i get -2 - j.  Float equality is exact equality here.
+      dx, dy and dx + |dy| < 2^26 are exact doubles, and IEEE division is
+      correctly rounded, so equal slopes give the same double.  Two
+      distinct values p1/q1 != p2/q2 with q1, q2 < 2^26 differ by at least
+      1/(q1*q2) > 2^-52, while each rounding of a |t| <= 1 errs by at
+      most 2^-54, so they stay distinct.
+    * int64, span below 2^30: dx/g*(4*span+3) + dy/g with g = gcd(dx, dy),
+      a positive key below 2^63; the cells j <= i get -j.
+    * object arrays of Python ints, above: the same reduced key, unbounded.
     """
     n = len(X)
-    key_base = 4 * int(max(np.max(np.abs(X)), np.max(np.abs(Y)))) + 3
+    if X.dtype == np.float64:
+        keys = _slope_keys
+    else:
+        key_base = 4 * int(max(np.max(np.abs(X)), np.max(np.abs(Y)))) + 3
+        keys = partial(_reduced_keys, key_base)
     total = 0
     s = 0
     while s < n - 1:
         cols = np.arange(s + 1, n)
         e = min(n - 1, s + max(1, _COLLINEAR_BLOCK // len(cols)))
-        dx = X[s + 1:] - X[s:e, None]
-        dy = Y[s + 1:] - Y[s:e, None]
-        g = np.maximum(np.gcd(dx, dy), 1)  # g = 0 at j = i
-        key = np.where(cols > np.arange(s, e)[:, None],
-                       dx // g * key_base + dy // g, -cols)
+        later = cols > np.arange(s, e)[:, None]
+        key = keys(X[s + 1:] - X[s:e, None], Y[s + 1:] - Y[s:e, None], later, cols)
         key.sort(axis=1)
         run_start = np.ones(key.shape, dtype=bool)
         np.not_equal(key[:, 1:], key[:, :-1], out=run_start[:, 1:])
@@ -232,24 +249,43 @@ def _distinct_collinear(X, Y) -> int:
     return 3 * total
 
 
+def _slope_keys(dx, dy, later, cols):
+    """The float64 keys of one tile, built in dy's buffer."""
+    den = np.abs(dy)
+    den += dx
+    np.divide(dy, den, out=dy, where=later)
+    np.copyto(dy, -2.0 - cols, where=~later)
+    return dy
+
+
+def _reduced_keys(key_base, dx, dy, later, cols):
+    """The gcd-reduced integer keys of one tile."""
+    g = np.maximum(np.gcd(dx, dy), 1)  # g = 0 at j = i
+    return np.where(later, dx // g * key_base + dy // g, -cols)
+
+
 BRUTE_TRIPLE_LIMIT = 3_000_000
 
 
 def collinear_triples_brute(points) -> int:
-    """O(|P|^3) oracle for collinear_triples."""
+    """O(|P|^3) oracle for collinear_triples.
+
+    Each distinct point (x, y) becomes the homogeneous integer point
+    (xn*yd, yn*xd, xd*yd), with x = xn/xd and y = yn/yd; an ordered
+    triple is collinear when the 3x3 determinant of its points is zero,
+    which holds whenever two of them are equal.
+    """
     pts = _canonical_points(points)
-    n = len(pts)
-    if n**3 > BRUTE_TRIPLE_LIMIT:
+    if len(pts) ** 3 > BRUTE_TRIPLE_LIMIT:
         raise ResourceError("brute-force triple enumeration too large")
+    hom = [(x.numerator * y.denominator, y.numerator * x.denominator,
+            x.denominator * y.denominator) for x, y in pts]
     count = 0
-    for p in pts:
-        for q in pts:
-            for r in pts:
-                if len({p, q, r}) <= 2:
-                    count += 1
-                elif ((q[0] - p[0]) * (r[1] - p[1])
-                      - (q[1] - p[1]) * (r[0] - p[0])) == 0:
-                    count += 1
+    for p0, p1, p2 in hom:
+        for q0, q1, q2 in hom:
+            # the determinant expanded along its third row r
+            a, b, c = p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0
+            count += sum(a * r0 + b * r1 + c * r2 == 0 for r0, r1, r2 in hom)
     return count
 
 
@@ -405,8 +441,9 @@ def er_chain(A: FiniteSet, triples_limit: int = TRIPLES_POINT_LIMIT) -> ErChain:
     X = A.union(F)
     T = None
     if len(X) ** 2 <= triples_limit:
-        pts = [(x, y) for x in X for y in X]
-        T = collinear_triples(pts)
+        # X is ascending, so its grid is in lexicographic order
+        s, _ = scaled_integers(X)
+        T = _collinear_ints([u for u in s for _ in s], s * len(s))
 
     checks = {
         "sum_F": 2 * sumsq_F >= Ep,

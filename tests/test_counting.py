@@ -310,6 +310,55 @@ def test_collinear_python_path_on_a_span_2_31_grid(monkeypatch):
     assert seen == [(np.dtype(object), np.dtype(object))]
 
 
+def tile_keys(monkeypatch) -> list:
+    """Records which key, float slope or reduced integer, each tile used."""
+    seen = []
+    for name in ("_slope_keys", "_reduced_keys"):
+        def spy(*args, name=name, keys=getattr(counting, name)):
+            seen.append(name)
+            return keys(*args)
+        monkeypatch.setattr(counting, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("span, key, dtype", [(2**24 - 1, "_slope_keys", np.float64),
+                                              (2**24, "_reduced_keys", np.int64)])
+def test_collinear_direction_keys_at_the_float_boundary(span, key, dtype, monkeypatch):
+    # The float key t = dy / (dx + |dy|) is exact while dx + |dy| < 2^26.
+    # From (-s, -s) to (s, s-1) that sum is 4s - 1, next to the 4s that a span
+    # s allows, and the direction (2s, 2s-1) is within 1/(8s) of the diagonal's.
+    s = span
+    pts = [(-s, -s), (s, s - 1), (0, 0), (s, s), (s, -s), (-s, s), (1, s), (0, -s)]
+    keys, dtypes = tile_keys(monkeypatch), tile_dtypes(monkeypatch)
+    assert collinear_triples(pts) == collinear_triples_brute(pts)
+    assert keys == [key]
+    assert dtypes == [(np.dtype(dtype), np.dtype(dtype))]
+
+
+def test_collinear_directions_that_one_double_would_merge(monkeypatch):
+    # From (0, 0) the two later points have t = a/b and (a+1)/(b+2), with
+    # a = 2^27 + 1 and b = 2^28 + 1: distinct, 1/(b(b+2)) apart, one double.
+    # So the three points are not collinear, and only an integer key shows it.
+    a, b = 2**27 + 1, 2**28 + 1
+    assert a / b == (a + 1) / (b + 2)
+    pts = [(0, 0), (2**27, 2**27 + 1), (2**27 + 1, 2**27 + 2)]
+    keys = tile_keys(monkeypatch)
+    assert collinear_triples(pts) == collinear_triples_brute(pts) == 3 + 3 * 3 * 2
+    assert keys == ["_reduced_keys"]
+
+
+@given(pts=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=10),
+       k=st.integers(22, 25), d=st.integers(-3, 3),
+       jitter=st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), min_size=10, max_size=10))
+@settings(max_examples=100, deadline=None)
+def test_collinear_matches_brute_on_dilations_around_the_float_bound(pts, k, d, jitter):
+    # spans from 2^22 to 2^27, on both sides of 2^24; the dilation keeps
+    # every line, and a jitter of one unit bends some of them very slightly
+    f = 2**k + d
+    pts = [(x * f + u, y * f + v) for (x, y), (u, v) in zip(pts, jitter)]
+    assert collinear_triples(pts) == collinear_triples_brute(pts)
+
+
 def _respell(v):
     """An integral value spelled as the other of int and Fraction."""
     if isinstance(v, int):
@@ -332,6 +381,32 @@ def point_lists(draw):
         pts += [(x0 + k * dx, y0 + k * dy) for k in range(draw(st.integers(4, 6)))]
     pts += [(_respell(x), _respell(y)) for x, y in draw(st.lists(st.sampled_from(pts)))]
     return draw(st.permutations(pts))
+
+
+def _collinear_triples_fractions(points) -> int:
+    """The ordered collinear triples by Fraction cross products, repetition allowed."""
+    pts = {(Fraction(x), Fraction(y)) for x, y in points}
+    count = 0
+    for p, q, r in product(pts, repeat=3):
+        count += len({p, q, r}) <= 2 or ((q[0] - p[0]) * (r[1] - p[1])
+                                         - (q[1] - p[1]) * (r[0] - p[0])) == 0
+    return count
+
+
+@given(pts=point_lists())
+@settings(max_examples=100, deadline=None)
+def test_collinear_brute_matches_the_fraction_oracle(pts):
+    # signed rationals of mixed denominators, duplicates spelled as int and Fraction
+    assert collinear_triples_brute(pts) == _collinear_triples_fractions(pts)
+
+
+def test_collinear_brute_refusal_threshold():
+    # 144^3 distinct-point triples fit in the limit and 169^3 do not
+    assert 144**3 <= counting.BRUTE_TRIPLE_LIMIT < 169**3
+    grid = [(x, y) for x in range(12) for y in range(12)]
+    assert collinear_triples_brute(grid) == collinear_triples(grid)
+    with pytest.raises(ResourceError, match="brute-force triple enumeration too large"):
+        collinear_triples_brute([(x, y) for x in range(13) for y in range(13)])
 
 
 @pytest.mark.parametrize("block", [1, 7, counting._COLLINEAR_BLOCK])
@@ -437,3 +512,30 @@ def test_er_chain_random_positive_sets():
         assert all(ch.checks.values()), ch.checks
         X = A.union(ch.F)
         assert ch.T == collinear_triples([(x, y) for x in X for y in X])
+
+
+def test_er_chain_triples_match_brute_on_the_fraction_grid():
+    rng = random.Random(23)
+    # every A u F here has at most 9 elements, so the brute force sees at most 81 points
+    sets = [FiniteSet([Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), 1])]
+    for k in range(10):
+        dens = (1,) if k % 3 == 0 else (1, 2, 3, 4, 6)
+        sets.append(FiniteSet({Fraction(rng.randint(1, 30), rng.choice(dens))
+                               for _ in range(rng.randint(1, 2))} | {Fraction(1)}))
+    for A in sets:
+        ch = er_chain(A)
+        X = A.union(ch.F)
+        assert ch.T == collinear_triples_brute([(x, y) for x in X for y in X]), A
+
+
+@pytest.mark.parametrize("A", [FiniteSet([1, 2, 3, 5, 8]),
+                               FiniteSet([Fraction(1, 2), Fraction(2, 3), 1])])
+def test_er_chain_builds_no_fraction_points(A, monkeypatch):
+    X = A.union(er_chain(A).F)
+    want = collinear_triples_brute([(x, y) for x in X for y in X])
+
+    def refuse(x):
+        raise AssertionError(f"as_scalar({x!r}) in the collinear path")
+
+    monkeypatch.setattr(counting, "as_scalar", refuse)
+    assert er_chain(A).T == want
