@@ -13,6 +13,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import explore as explore_mod
 from . import verify as verify_mod
@@ -256,14 +257,16 @@ def build_parser() -> _Parser:
     return p
 
 
+# built on the first call, not at import, so that a process which imports the
+# module without running a command does not hold the parser (about 190 KB)
+_parser = cache(build_parser)
 _DISPATCH = {"stats": _cmd_stats, "verify": _cmd_verify,
              "explore": _cmd_explore, "oracle": _cmd_oracle}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _DISPATCH[args.cmd](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

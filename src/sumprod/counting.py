@@ -314,34 +314,30 @@ class ClusterReport:
     slopes: FiniteSet
 
 
-def cluster_sigma(fibers: dict, slopes, pair_budget: int = SIGMA_PAIR_BUDGET) -> int | None:
-    """max sigma_max over distinct slope triples; None if fewer than 3 slopes.
+def cluster_sigma(fibers: dict, pair_budget: int) -> int | None:
+    """max sigma_max over the triples of distinct slopes of the fibers, which
+    are keyed by slope in increasing order; None if fewer than 3 slopes.
 
     The lines of every triple are built, and refused if too many, before
     any incidence is counted.
     """
-    slopes = sorted(slopes)
-    if len(slopes) < 3:
+    if len(fibers) < 3:
         return None
-    if comb(len(slopes), 3) > CLUSTER_TRIPLE_BUDGET:
+    if comb(len(fibers), 3) > CLUSTER_TRIPLE_BUDGET:
         raise ResourceError(
-            f"cluster sigma: {comb(len(slopes), 3)} slope triples exceed "
+            f"cluster sigma: {comb(len(fibers), 3)} slope triples exceed "
             f"the budget {CLUSTER_TRIPLE_BUDGET}")
-    line_sets = []
-    for l1, l2, l3 in combinations(slopes, 3):
-        f1, f2, f3 = fibers[l1], fibers[l2], fibers[l3]
-        if len(f1) * len(f2) * len(f3) > SIGMA_SIZE_LIMIT:
-            raise ResourceError("cluster sigma fibers too large")
-        line_sets.append(_sigma_lines(f1, f2, f3, pair_budget))
+    line_sets = [_sigma_lines(*triple, pair_budget)
+                 for triple in combinations(fibers.values(), 3)]
     return max(_sigma_incidences(*lines).count for lines in line_sets)
 
 
 def solymosi_cluster_report(A: FiniteSet, tau, M: int) -> ClusterReport:
     """Cluster construction over M consecutive slopes of one dyadic window.
 
-    Sorts the chosen slopes ascending, splits them into groups of M, and
-    for each group counts the exact number of distinct vector sums of the
-    point fibers {(x, lambda*x) : x in A_lambda} over distinct slope pairs.
+    Takes the window's slopes in increasing order, splits them into groups
+    of M, and for each group counts the exact number of distinct vector sums
+    of the point fibers {(x, lambda*x) : x in A_lambda} over distinct slope pairs.
     All sums are verified to land in (A+A) x (A+A).
     """
     return _cluster_report(SetContext(A), tau, M, SIGMA_PAIR_BUDGET)
@@ -359,21 +355,19 @@ def _cluster_report(ctx: SetContext, tau, M: int, pair_budget: int) -> ClusterRe
     lams = list(ctx.fiber_sizes(tau))
     if not lams:
         raise DomainError("empty slice window")
-    slopes = FiniteSet.from_sorted(lams)
-    if M > len(slopes):
+    if M > len(lams):
         raise DomainError("M exceeds the number of available slopes")
 
     fibers = ctx.fibers(tau)
-    sigma = cluster_sigma(fibers, slopes.elements, pair_budget=pair_budget)
+    sigma = cluster_sigma(fibers, pair_budget)
 
     nsum, box = ctx.nsum, ctx.rep_counts("add")
-    ordered = list(slopes.elements)
-    k = len(ordered) // M
+    k = len(lams) // M
     rho = tau**2 * comb(M, 2) - sigma * Fraction(M) ** 4 if sigma is not None else None
     per_group: list[tuple[int, Fraction]] = []
     in_box = True
     for j in range(k):
-        group = ordered[j * M:(j + 1) * M]
+        group = lams[j * M:(j + 1) * M]
         pts = set()
         for la, lb in combinations(group, 2):
             # the grid points on the slope-la line are (x/la, x), x in A_la:
@@ -390,15 +384,15 @@ def _cluster_report(ctx: SetContext, tau, M: int, pair_budget: int) -> ClusterRe
     else:
         # sigma >= 1: A > 0, so each fiber triple gives a line x2*b + x3*c = -x1 off the axes
         conditions = (32 * sigma <= tau**2, tau**4 <= Fraction(nsum) ** 2 * sigma)
-        lemma_rhs = tau**3 * len(slopes) / (128 * sqrt_frac(Fraction(sigma)))
+        lemma_rhs = tau**3 * len(lams) / (128 * sqrt_frac(Fraction(sigma)))
         # exact: |A+A|^2 >= tau^3 |S'| / (128 sqrt(sigma))
-        lemma_pass = (Fraction(nsum) ** 2 * 128) ** 2 * sigma >= (tau**3 * len(slopes)) ** 2
+        lemma_pass = (Fraction(nsum) ** 2 * 128) ** 2 * sigma >= (tau**3 * len(lams)) ** 2
 
     return ClusterReport(tau=tau, M=M, group_count=k, per_group=per_group,
                          sigma_used=sigma, conditions_ok=conditions,
                          sums_total=sum(n for n, _ in per_group), sums_in_box=in_box,
                          lemma_rhs=lemma_rhs, lemma_pass=lemma_pass,
-                         slopes=slopes)
+                         slopes=FiniteSet.from_sorted(lams))
 
 
 # -- the E+(A) versus |A/A|, |AA| chain ------------------------------------

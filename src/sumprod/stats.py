@@ -115,22 +115,21 @@ def pair_counts(A: FiniteSet, B: FiniteSet, op: str) -> tuple[np.ndarray, np.nda
     return _pair_keys(A, B, op)[:2]
 
 
-def _ordered(result, idx=None) -> tuple[list[Fraction], list[int], list[int]]:
-    """The distinct values of a `_pair_keys` result, or of its keys at the
-    indices idx, in increasing order, with their counts and key indices."""
+def _ordered(result) -> tuple[list[Fraction], list[int], list[int]]:
+    """The distinct values of a `_pair_keys` result in increasing order, with
+    their counts and keys."""
     keys, counts, _, den, shift = result
-    idx = np.arange(len(keys)) if idx is None else idx
-    triples = zip(keys[idx].tolist(), counts[idx].tolist(), idx.tolist())
+    items = zip(keys.tolist(), counts.tolist())
     if shift is None:
-        triples = sorted(triples)
-        values = [Fraction(k, den) for k, _, _ in triples]
+        items = sorted(items)
+        values = [Fraction(k, den) for k, _ in items]
     else:
         mask = (1 << shift) - 1
         # distinct p/q with q < 2^shift differ by more than 2^(-2 shift), so
         # floor(p 2^(2 shift) / q) orders them
-        triples = sorted(triples, key=lambda t: ((t[0] >> shift) << 2 * shift) // (t[0] & mask))
-        values = [Fraction(k >> shift, k & mask) for k, _, _ in triples]
-    return values, [c for _, c, _ in triples], [i for _, _, i in triples]
+        items = sorted(items, key=lambda t: ((t[0] >> shift) << 2 * shift) // (t[0] & mask))
+        values = [Fraction(k >> shift, k & mask) for k, _ in items]
+    return values, [c for _, c in items], [k for k, _ in items]
 
 
 # -- pairwise operation sets ----------------------------------------------
@@ -333,15 +332,15 @@ class SetContext:
         return self._kernel[op]
 
     def _quots(self, tau=None):
-        """A/A's kernel result, and the key indices of the window tau < |A_lambda|
-        <= 2*tau (None: every key).  The fiber reads need 0 outside A."""
+        """A/A's kernel result, with its keys and counts cut to the window
+        tau < |A_lambda| <= 2*tau (None: every key).  The fiber reads need 0 outside A."""
         if self.A.has_zero():
             raise DomainError("spectrum requires 0 not in A")
-        quots = self._result("div")
+        keys, counts, pairs, den, shift = quots = self._result("div")
         if tau is None:
-            return quots, None
-        idx = np.flatnonzero(quots[1] > floor(tau))
-        return quots, idx[quots[1][idx] <= floor(2 * tau)]
+            return quots
+        window = (counts > floor(tau)) & (counts <= floor(2 * tau))
+        return keys[window], counts[window], pairs, den, shift
 
     def counts(self, X: FiniteSet, Y: FiniteSet, op: str):
         """The counts of `pair_counts(X, Y, op)`, from the context when X and Y are A."""
@@ -388,19 +387,18 @@ class SetContext:
     @cached_property
     def max_fiber(self) -> int:
         """The largest |A_lambda|."""
-        quots, _ = self._quots()
-        return int(quots[1].max())
+        return int(self._quots()[1].max())
 
     @cached_property
     def slices(self) -> list[tuple[Fraction, int]]:
         """(tau, number of lambda in the window) of each slice of `dyadic_slices(A)`."""
-        return [(tau, len(self._quots(tau)[1]))
+        return [(tau, len(self._quots(tau)[0]))
                 for tau in (Fraction(1, 2) * 2**j for j in range(self.ceil_log2n + 1))]
 
     def fiber_sizes(self, tau=None) -> dict:
         """lambda -> |A_lambda| over A/A, or over the window tau < |A_lambda| <= 2*tau,
         in increasing order of lambda."""
-        values, counts, _ = _ordered(*self._quots(tau))
+        values, counts, _ = _ordered(self._quots(tau))
         return dict(zip(values, counts))
 
     def fibers(self, tau=None) -> dict:
@@ -410,14 +408,13 @@ class SetContext:
         A_lambda holds the a_i with a_i/a_j = lambda, the rows of lambda's pairs;
         one pass over the pairs in row order gathers them, ascending.
         """
-        quots, idx = self._quots(tau)
+        quots = self._quots(tau)
         n, pairs, rows = self.n, quots[2].tolist(), {}
         for i, a in enumerate(self.A.elements):
             for key in pairs[i * n:(i + 1) * n]:
                 rows.setdefault(key, []).append(a)
-        keys = quots[0].tolist()
-        lams, _, idx = _ordered(quots, idx)
-        return {lam: FiniteSet.from_sorted(rows[keys[k]]) for lam, k in zip(lams, idx)}
+        lams, _, keys = _ordered(quots)
+        return {lam: FiniteSet.from_sorted(rows[k]) for lam, k in zip(lams, keys)}
 
     @cached_property
     def dhat(self) -> DoublingProfile:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumprod import (FiniteSet, d_upper, dyadic_slices, energy, explore, format_scalar,
+from sumprod import (FiniteSet, cli, d_upper, dyadic_slices, energy, explore, format_scalar,
                      productset, quotientset, stats, sumset)
 from sumprod.cli import main
 
@@ -109,6 +109,23 @@ def test_oracle_triples(three, capsys):
     code, out, _ = run(capsys, "oracle", "--input", three, "--op", "triples-brute")
     assert code == 0
     assert json.loads(out)["collinear_triples"]["match"]
+
+
+def test_oracle_triples_over_the_brute_force_limit_exit_5(tmp_path, capsys):
+    p = tmp_path / "thirteen.txt"
+    p.write_text("".join(f"{k}\n" for k in range(1, 14)))  # 169 points, 169^3 > 3 000 000
+    code, out, err = run(capsys, "oracle", "--input", str(p), "--op", "triples-brute")
+    assert code == 5 and out == ""
+    assert "resource limit: brute-force triple enumeration too large" in err
+
+
+def test_main_reuses_one_parser(three, capsys, monkeypatch):
+    def fail():
+        raise AssertionError("main built a new parser")
+
+    monkeypatch.setattr(cli, "build_parser", fail)
+    assert run(capsys, "stats", "--input", three, "--json")[0] == 0
+    assert run(capsys, "verify", "--input", three)[0] == 0
 
 
 def test_oracle_sigma(three, capsys):

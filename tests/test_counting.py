@@ -18,6 +18,7 @@ from sumprod import (
     collinear_triples,
     collinear_triples_brute,
     er_chain,
+    evaluate,
     sigma_count,
     sigma_max,
     solymosi_cluster_report,
@@ -450,6 +451,8 @@ def test_cluster_errors():
         solymosi_cluster_report(FiniteSet([-1, 2, 3]), 2, 2)
     with pytest.raises(DomainError, match="available slopes"):
         solymosi_cluster_report(A123, 2, 2)  # window holds a single slope
+    with pytest.raises(DomainError, match="empty slice window"):
+        solymosi_cluster_report(DIVISOR_RICH, 100, 2)  # no fiber has more than 9 elements
 
 
 def test_cluster_box_check_sees_a_wrong_fiber_element(monkeypatch):
@@ -467,8 +470,20 @@ def test_cluster_box_check_sees_a_wrong_fiber_element(monkeypatch):
 def test_cluster_sigma_small_window():
     fibers = SetContext(DIVISOR_RICH).fibers(2)
     assert len(fibers) >= 3
-    sig = cluster_sigma(fibers, list(fibers))
-    assert sig is not None and sig >= 1
+    want = max(sigma_max(*t).count for t in combinations(fibers.values(), 3))
+    assert cluster_sigma(fibers, counting.SIGMA_PAIR_BUDGET) == want
+
+
+def test_cluster_refuses_an_oversized_fiber_triple_with_its_size(monkeypatch):
+    # DIVISOR_RICH's tau = 2 window: its first slope triple has fibers of 3, 4
+    # and 3 elements, its second 3, 4 and 4
+    monkeypatch.setattr(counting, "SIGMA_SIZE_LIMIT", 47)
+    with pytest.raises(ResourceError, match="sigma_max input too large: 48"):
+        solymosi_cluster_report(DIVISOR_RICH, 2, 2)
+    # LEMMA3's window of this set holds fibers of 6, 8 and 6 elements
+    monkeypatch.setattr(counting, "SIGMA_SIZE_LIMIT", 287)
+    with pytest.raises(ResourceError, match="sigma_max input too large: 288"):
+        evaluate("LEMMA3", FiniteSet([1, 2, 3, 4, 6, 8, 12, 16]))
 
 
 # -- the energy chain ------------------------------------------------------

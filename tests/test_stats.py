@@ -121,8 +121,10 @@ def test_lambda_set():
     assert lambda_set(A123, 1) == A123
     assert lambda_set(A123, 2) == FiniteSet([2])
     assert lambda_set(A123, Fraction(2, 3)) == FiniteSet([2])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="lambda must be nonzero"):
         lambda_set(A123, 0)
+    with pytest.raises(DomainError, match="fiber decomposition requires 0 not in A"):
+        lambda_set(FiniteSet([0, 1, 2]), 2)
 
 
 def test_spectrum_fixture():
@@ -131,6 +133,9 @@ def test_spectrum_fixture():
     assert spec[Fraction(2)] == 3 and spec[Fraction(1, 2)] == 3
     assert spec[Fraction(8)] == 1
     assert sorted(spec.values()) == [1, 1, 2, 2, 3, 3, 4]
+    for fn in (spectrum, dyadic_slices):
+        with pytest.raises(DomainError, match="spectrum requires 0 not in A"):
+            fn(FiniteSet([0, 1, 2]))
 
 
 @given(positive_sets)

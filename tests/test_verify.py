@@ -367,3 +367,20 @@ def test_lemma3_refuses_a_slope_triple_before_any_incidence_count(monkeypatch):
     # the tau = 8 window has 455 slope triples; one of them has 660 lines
     with pytest.raises(ResourceError, match="sigma_max candidate enumeration too large: 660 lines"):
         evaluate("LEMMA3", GP16)
+
+
+@pytest.mark.parametrize("lemma_pass, sums_total, in_box, passed", [
+    (True, 529, True, True),  # |A+A|^2 = 529 for S8
+    (False, 529, True, False),
+    (True, 530, True, False),
+    (True, 529, False, False),
+])
+def test_lemma3_verdict_when_both_conditions_hold(monkeypatch, lemma_pass, sums_total, in_box,
+                                                 passed):
+    report = counting.ClusterReport(
+        tau=Fraction(4), M=2, group_count=1, per_group=[(sums_total, Fraction(0))], sigma_used=1,
+        conditions_ok=(True, True), sums_total=sums_total, sums_in_box=in_box,
+        lemma_rhs=Fraction(100), lemma_pass=lemma_pass, slopes=FiniteSet([1, 2, 3]))
+    monkeypatch.setattr(verify, "_cluster_report", lambda *args: report)
+    r = evaluate("LEMMA3", S8)
+    assert (r.lhs, r.rhs, r.passed) == (529, 100, passed)
