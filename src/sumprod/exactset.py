@@ -9,12 +9,10 @@ The joint scaling of sets to integers and the canonical JSON are written here on
 from __future__ import annotations
 
 import json
-import logging
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Collection, Iterable, Iterator, Sequence
-
-log = logging.getLogger(__name__)
 
 Scalar = Fraction
 
@@ -200,7 +198,7 @@ def parse_set_text(text: str) -> tuple[FiniteSet, int]:
 
 
 def load_set_file(path) -> FiniteSet:
-    """Load a FiniteSet from a set file, warning about dropped duplicates.
+    """Load a FiniteSet from a set file, warning on stderr about dropped duplicates.
 
     A file that cannot be read or is not UTF-8 text raises ParseError.
     """
@@ -214,5 +212,5 @@ def load_set_file(path) -> FiniteSet:
                          f"{exc.start})") from exc
     A, dropped = parse_set_text(text)
     if dropped:
-        log.warning("%s: dropped %d duplicate value(s)", path, dropped)
+        print(f"{path}: dropped {dropped} duplicate value(s)", file=sys.stderr)
     return A

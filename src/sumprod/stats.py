@@ -409,11 +409,12 @@ class SetContext:
         one pass over the pairs in row order gathers them, ascending.
         """
         quots = self._quots(tau)
-        n, pairs, rows = self.n, quots[2].tolist(), {}
+        lams, _, keys = _ordered(quots)
+        n, pairs, rows = self.n, quots[2].tolist(), {k: [] for k in keys}
         for i, a in enumerate(self.A.elements):
             for key in pairs[i * n:(i + 1) * n]:
-                rows.setdefault(key, []).append(a)
-        lams, _, keys = _ordered(quots)
+                if key in rows:
+                    rows[key].append(a)
         return {lam: FiniteSet.from_sorted(rows[k]) for lam, k in zip(lams, keys)}
 
     @cached_property

@@ -93,35 +93,12 @@ def _need(ctx: SetContext, nonzero=False, positive=False):
 
 # Each entry reads the context and returns (lhs, rhs, ratio, explicit, passed).
 
-def _explicit(lhs, rhs):
-    lhs, rhs = Fraction(lhs), Fraction(rhs)
-    return lhs, rhs, lhs / rhs, True, lhs >= rhs
-
-
-def _hidden(lhs: Fraction, rhs: Fraction):
-    return lhs, rhs, lhs / rhs, False, None
-
-
 def _ratio(lhs, factors):
-    """Hidden-constant entry: rhs = prod base^exp, rendered not asserted."""
+    """Hidden-constant entry: rhs = prod base^exp, rendered not asserted; a zero lhs has ratio 0."""
     lhs = Fraction(lhs)
     rhs = product_pow(factors)
-    ratio = product_pow([(lhs, 1)] + [(b, -Fraction(e)) for b, e in factors])
+    ratio = product_pow([(lhs, 1)] + [(b, -Fraction(e)) for b, e in factors]) if lhs else lhs
     return lhs, rhs, ratio, False, None
-
-
-def _level_count(counts) -> Fraction:
-    """How many of the counts reach `LEVEL_TAU`."""
-    return Fraction(sum(1 for c in counts.tolist() if c >= LEVEL_TAU))
-
-
-# -- registry entries ------------------------------------------------------
-
-def _solymosi(size, ctx):
-    """|A+A|^2 |AA| >= |A|^4 / (4 ceil(log2 |A|)), or with |A/A|; size names which."""
-    _need(ctx)
-    return _explicit(Fraction(ctx.nsum) ** 2 * getattr(ctx, size),
-                     Fraction(ctx.n**4, 4 * ctx.ceil_log2n))
 
 
 def _bound(lhs, *factors, nonzero=False):
@@ -137,6 +114,39 @@ def _bound(lhs, *factors, nonzero=False):
     return entry
 
 
+def _exact(lhs, rhs, explicit=False, nonzero=False):
+    """The entry for lhs against rhs, both exact functions of the context,
+    evaluated in that order: asserted as lhs >= rhs where the constant is
+    explicit, a tightness ratio where it is hidden."""
+    def entry(ctx):
+        _need(ctx, nonzero=nonzero)
+        left, right = Fraction(lhs(ctx)), Fraction(rhs(ctx))
+        return left, right, left / right, explicit, left >= right if explicit else None
+    return entry
+
+
+# -- registry entries ------------------------------------------------------
+
+def _level_count(op, ctx):
+    """How many values of A∘A have at least `LEVEL_TAU` representations."""
+    return sum(1 for c in ctx.counts(ctx.A, ctx.A, op).tolist() if c >= LEVEL_TAU)
+
+
+def _solymosi_rhs(ctx):
+    """|A|^4 / (4 ceil(log2 |A|)), against |A+A|^2 |AA| and |A+A|^2 |A/A|."""
+    return Fraction(ctx.n**4, 4 * ctx.ceil_log2n)
+
+
+def _derived_energy(op, ctx):
+    """E× of AA (op "mul") or of A/A ("div"), refused before the set is built
+    when it has more than `QUOTIENT_ENERGY_CAP` elements."""
+    size = ctx.nprod if op == "mul" else ctx.nquot
+    if size > QUOTIENT_ENERGY_CAP:
+        raise ResourceError(f"PROP-CRIT-{'P' if op == 'mul' else 'Q'}: |derived set| = {size} "
+                            f"exceeds cap {QUOTIENT_ENERGY_CAP}")
+    return SetContext(FiniteSet.from_sorted(list(ctx.rep_counts(op)))).Ex
+
+
 def _cs_subs(ctx, A1=None, A2=None):
     _need(ctx, nonzero=True)
     A1 = ctx.A if A1 is None else A1
@@ -145,42 +155,8 @@ def _cs_subs(ctx, A1=None, A2=None):
         raise DomainError("CS-SUBS requires A1, A2 subsets of A")
     c = ctx.counts(A1, A2, "mul")
     lhs = Fraction(int(c @ c)) * ctx.nmin
-    return _explicit(lhs, Fraction(len(A1)) ** 2 * Fraction(len(A2)) ** 2)
-
-
-def _levelset(ctx):
-    _need(ctx)
-    lhs = _level_count(ctx.counts(ctx.A, ctx.A, "div"))
-    return _hidden(lhs, Fraction(ctx.nsum**2, LEVEL_TAU**2))
-
-
-def _da_level(ctx):
-    _need(ctx, nonzero=True)
-    lhs = _level_count(ctx.counts(ctx.A, ctx.A, "add"))
-    return _hidden(lhs, ctx.dhat.d_upper * ctx.n**3 / LEVEL_TAU**3)
-
-
-def _gen_sigma(ctx):
-    """The solutions of x + y = z in A against d(A)^{1/3} |A|^{5/3}."""
-    _need(ctx, nonzero=True)
-    lhs = Fraction(sigma_count(1, ctx.A, 1, ctx.A, -1, ctx.A).count)
-    _, rhs, ratio, _, _ = _ratio(max(lhs, Fraction(1)),
-                                 [(ctx.dhat.d_upper, Fraction(1, 3)), (ctx.n, Fraction(5, 3))])
-    # keep the genuine (possibly zero) solution count in the report
-    return lhs, rhs, ratio if lhs > 0 else Fraction(0), False, None
-
-
-def _prop_crit(product: bool, ctx):
-    """E× of AA (product) or of A/A against E×(A)^3 / (L^32 |A|^4)."""
-    _need(ctx, nonzero=True)
-    size = ctx.nprod if product else ctx.nquot
-    if size > QUOTIENT_ENERGY_CAP:
-        raise ResourceError(f"PROP-CRIT-{'P' if product else 'Q'}: |derived set| = {size} "
-                            f"exceeds cap {QUOTIENT_ENERGY_CAP}")
-    big = FiniteSet.from_sorted(list(ctx.rep_counts("mul" if product else "div")))
-    L = ctx.L_prod if product else ctx.L_quot
-    return _hidden(Fraction(SetContext(big).Ex),
-                   Fraction(ctx.Ex) ** 3 / (L**32 * Fraction(ctx.n) ** 4))
+    rhs = Fraction(len(A1)) ** 2 * Fraction(len(A2)) ** 2
+    return lhs, rhs, lhs / rhs, True, lhs >= rhs
 
 
 def _lemma3(ctx):
@@ -197,11 +173,11 @@ def _lemma3(ctx):
     return lhs, rhs, lhs / rhs if rhs > 0 else lhs, True, passed
 
 
-#: the rendered bounds are rows (lhs, factors), with the paper's exponents;
-#: MAIN-B and SMALL2 carry the same bound
+#: the rendered bounds are rows (lhs, factors), with the paper's exponents,
+#: and the exact comparisons rows (lhs, rhs); MAIN-B and SMALL2 carry the same bound
 REGISTRY = {
-    "SOLY-PROD": partial(_solymosi, "nprod"),
-    "SOLY-QUOT": partial(_solymosi, "nquot"),
+    "SOLY-PROD": _exact(lambda ctx: ctx.nsum**2 * ctx.nprod, _solymosi_rhs, explicit=True),
+    "SOLY-QUOT": _exact(lambda ctx: ctx.nsum**2 * ctx.nquot, _solymosi_rhs, explicit=True),
     "SOLY-MAX": _bound(lambda ctx: max(ctx.nsum, ctx.nprod), ("n", "4/3"), ("log2n", "-1/3")),
     "COR-SOL": _bound("nsum", ("n", "3/2"), ("K", "-1/2")),
     "PREV": _bound("nsum", ("n", "58/37"), ("K", "-42/37")),
@@ -209,17 +185,22 @@ REGISTRY = {
     "MAIN-A": _bound("nsum", ("n", "19/12"), ("K", "-5/6")),
     "MAIN-B": _bound("nsum", ("n", "49/32"), ("K", "-19/32")),
     "CS-SUBS": _cs_subs,
-    "LEVELSET": _levelset,
+    "LEVELSET": _exact(partial(_level_count, "div"),
+                       lambda ctx: Fraction(ctx.nsum**2, LEVEL_TAU**2)),
     "ENERGY-SUMSET": _bound("Ex", ("nsum", 2), ("log2n", 1), nonzero=True),
-    "DA-LEVEL": _da_level,
-    "GEN-SIGMA": _gen_sigma,
+    "DA-LEVEL": _exact(partial(_level_count, "add"),
+                       lambda ctx: ctx.dhat.d_upper * ctx.n**3 / LEVEL_TAU**3, nonzero=True),
+    "GEN-SIGMA": _bound(lambda ctx: sigma_count(1, ctx.A, 1, ctx.A, -1, ctx.A).count,
+                        ("dhat.d_upper", "1/3"), ("n", "5/3"), nonzero=True),
     "ER": _bound(lambda ctx: ctx.Ep**4, ("nmin", 1), ("n", 10), ("log2n", 1)),
     "SMALLMD-ENERGY": _bound("Ex", ("K", "1/4"), ("n", "5/8"), ("nsum", "3/2"), ("log2n", "3/4"),
                              nonzero=True),
     "SMALLMD": _bound("nsum", ("n", "19/12"), ("K", "-5/6"), ("log2n", "-1/2")),
     "SMALL2": _bound("nsum", ("n", "49/32"), ("K", "-19/32")),
-    "PROP-CRIT-Q": partial(_prop_crit, False),
-    "PROP-CRIT-P": partial(_prop_crit, True),
+    "PROP-CRIT-Q": _exact(partial(_derived_energy, "div"),
+                          lambda ctx: ctx.Ex**3 / (ctx.L_quot**32 * ctx.n**4), nonzero=True),
+    "PROP-CRIT-P": _exact(partial(_derived_energy, "mul"),
+                          lambda ctx: ctx.Ex**3 / (ctx.L_prod**32 * ctx.n**4), nonzero=True),
     "SOLPLUS": _bound(lambda ctx: max(ctx.nsum, ctx.nmin), ("n", Fraction(4, 3) + SOLPLUS_C)),
     "LEMMA3": _lemma3,
 }

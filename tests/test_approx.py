@@ -135,6 +135,11 @@ def test_product_pow_of_no_factors_and_a_nonpositive_base():
         product_pow([(Fraction(-1, 2), Fraction(1, 3))])
 
 
+def test_int_nth_root_refuses_a_negative_radicand():
+    with pytest.raises(ValueError, match="negative radicand"):
+        int_nth_root(-1, 2)
+
+
 def test_exponent_lcm_513_takes_the_decimal_route(monkeypatch):
     def no_root(n, k):
         raise AssertionError("integer root taken")

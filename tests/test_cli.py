@@ -63,6 +63,15 @@ def test_verify_json_round_trip(three, capsys):
     assert json.dumps(data, sort_keys=True, separators=(",", ":")) == out.strip()
 
 
+def test_stats_warns_of_dropped_duplicates_on_stderr(tmp_path, capsys):
+    dup, clean = tmp_path / "dup.txt", tmp_path / "clean.txt"
+    dup.write_text("1\n2\n2\n3\n3\n5\n")
+    clean.write_text("1\n2\n3\n5\n")
+    code, out, err = run(capsys, "stats", "--input", str(dup))
+    assert (code, err) == (0, f"{dup}: dropped 2 duplicate value(s)\n")
+    assert out == run(capsys, "stats", "--input", str(clean))[1]
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("abc\n")
@@ -143,6 +152,26 @@ def test_oracle_sigma_counts_zero_triple_once(tmp_path, capsys):
                        "--op", "sigma-max-sample", "--samples", "20")
     assert code == 0
     assert json.loads(out)["sigma_max"]["attained"]
+
+
+def test_oracle_sigma_sample_above_the_enumerated_maximum_exit_4(three, capsys, monkeypatch):
+    # x + y + z = 0 has no solution in {1, 2, 3}, and the samples find x + y = z ones
+    monkeypatch.setattr(cli, "sigma_max", lambda A1, A2, A3: cli.sigma_count(1, A1, 1, A2, 1, A3))
+    code, out, _ = run(capsys, "oracle", "--input", three,
+                       "--op", "sigma-max-sample", "--samples", "50")
+    data = json.loads(out)["sigma_max"]
+    assert code == 4
+    assert data["attained"] and data["enumerated"] == 0 < data["sample_max"]
+    assert data["match"] is False
+
+
+def test_explore_reads_its_ground_set_and_prints_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SUMPROD_CORPUS", raising=False)
+    ground = tmp_path / "ground.txt"
+    ground.write_text("2\n4\n8\n16\n32\n")
+    code, out, err = run(capsys, "explore", "--ineq", "SOLY-PROD", "--n", "3",
+                         "--mode", "exhaustive", "--ground", str(ground))
+    assert (code, out, err) == (0, "SOLY-PROD: best ratio 160/9 (~17.7778) at {2, 4, 8}\n", "")
 
 
 def test_explore_appends_corpus(three, tmp_path, capsys, monkeypatch):
@@ -343,9 +372,10 @@ def test_stats_json_runs_each_pair_kernel_once(tmp_path, capsys, monkeypatch):
     assert calls == {("add", True): 1, ("mul", True): 1, ("div", True): 1}
 
 
-def test_importing_the_cli_loads_no_mpmath():
+@pytest.mark.parametrize("module", ["mpmath", "logging"])
+def test_importing_the_cli_loads_no_module(module):
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = "import sys, sumprod.cli; print('mpmath' in sys.modules)"
+    probe = f"import sys, sumprod.cli; print({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout == "False\n"

@@ -253,6 +253,8 @@ def test_collinear_fixtures():
     assert collinear_triples(grid) == 40
     assert collinear_triples([(0, 0)]) == 1
     assert collinear_triples([(0, 0), (1, 1), (2, 2)]) == 27
+    with pytest.raises(DomainError, match="empty point set"):
+        collinear_triples([])
 
 
 def test_collinear_matches_brute_on_grids():

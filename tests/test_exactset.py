@@ -15,7 +15,7 @@ from sumprod import (
     parse_scalar,
     parse_set_text,
 )
-from sumprod.exactset import scaled_integers
+from sumprod.exactset import as_scalar, scaled_integers
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000,
@@ -31,6 +31,8 @@ def test_parse_scalar():
         parse_scalar("abc")
     with pytest.raises(DomainError):
         parse_scalar("1/-2")
+    with pytest.raises(DomainError, match=r"not an exact scalar: 1\.5"):
+        as_scalar(1.5)
 
 
 def test_format_scalar_round_trip():
@@ -41,6 +43,8 @@ def test_format_scalar_round_trip():
 def test_empty_set_rejected():
     with pytest.raises(DomainError, match="empty set"):
         FiniteSet([])
+    with pytest.raises(DomainError, match="empty set"):
+        FiniteSet.from_sorted([])
 
 
 def test_finite_set_basics():

@@ -42,6 +42,12 @@ def test_generator_guards():
         generate(GeneratorSpec("random_integer", {"n": 5, "range": 50}))
     with pytest.raises(DomainError, match="unknown generator"):
         generate(GeneratorSpec("fibonacci", {"n": 5}))
+    with pytest.raises(DomainError, match="random generators require n >= 2"):
+        generate(GeneratorSpec("random_rational", {"n": 1, "seed": 1}))
+    with pytest.raises(DomainError, match="range too small for n distinct integers"):
+        generate(GeneratorSpec("random_integer", {"n": 5, "range": 4, "seed": 1}))
+    with pytest.raises(DomainError, match="range too small for n distinct rationals"):
+        generate(GeneratorSpec("random_rational", {"n": 5, "range": 2, "seed": 1}))
 
 
 def test_random_generators_deterministic():
@@ -132,6 +138,16 @@ def test_search_exhaustive_soly_prod():
               for c in combinations(range(1, 9), 3)]
     best = min(ratios)
     assert (rec.ratio, rec.set) == best
+
+
+@pytest.mark.parametrize("n, mode, message", [
+    (1, "exhaustive", r"need 2 <= n <= \|ground\|"),
+    (9, "exhaustive", r"need 2 <= n <= \|ground\|"),
+    (3, "annealing", "unknown search mode 'annealing'"),
+])
+def test_search_refusals(n, mode, message):
+    with pytest.raises(DomainError, match=message):
+        search_extremal("SOLY-PROD", n, mode, {"ground": FiniteSet(range(1, 9)), "seed": 1})
 
 
 def test_search_truncation_flag():

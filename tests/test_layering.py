@@ -2,11 +2,12 @@
 imports a private name of `stats` (`_pair_keys`, `_ordered`, ...), takes
 one as an attribute of it, or reads a private member of a `SetContext`.
 Only `evaluate` and `verify_suite` build an `InequalityReport`: the registry
-entries return numbers.  Only the factory `_bound` and GEN-SIGMA's entry call
-`_ratio`, so every other rendered bound is a row of the registry.  Every
-registry entry is a function of the context alone, but for CS-SUBS's subsets
-A1 and A2.  No function imports a sibling module: the modules
-import each other at their top, so an import cycle fails at import time.
+entries return numbers.  Only the factory `_bound` calls `_ratio`, so every
+rendered bound is a row of the registry, and every entry but CS-SUBS and
+LEMMA3 is a row of `_bound` or of `_exact`.  Every registry entry is a
+function of the context alone, but for CS-SUBS's subsets A1 and A2.  No
+function imports a sibling module: the modules import each other at their
+top, so an import cycle fails at import time.
 The third-party modules the package imports are exactly the runtime
 dependencies `pyproject.toml` declares.  Only `exactset` and `_approx` use
 `math.lcm`, and only `exactset` `json.dumps`.  The σ kernels of `counting`
@@ -99,7 +100,7 @@ def test_only_evaluate_and_verify_suite_build_reports():
     assert found <= REPORT_BUILDERS, f"{sorted(found - REPORT_BUILDERS)} build reports"
 
 
-RATIO_CALLERS = {"_bound", "_gen_sigma"}
+RATIO_CALLERS = {"_bound"}
 
 
 def test_the_checker_sees_every_ratio_caller():
@@ -112,9 +113,20 @@ def test_the_checker_sees_every_ratio_caller():
     assert callers("def _prev(ctx, p):\n    return _explicit(1, 2)", "_ratio") == set()
 
 
-def test_only_the_factory_and_gen_sigma_call_ratio():
+def test_only_the_bound_factory_calls_ratio():
     found = callers((SRC / "verify.py").read_text(encoding="utf-8"), "_ratio")
     assert found <= RATIO_CALLERS, f"{sorted(found - RATIO_CALLERS)} call _ratio"
+
+
+#: the entries that are functions of their own, not rows of a factory
+ENTRY_FUNCTIONS = {"CS-SUBS", "LEMMA3"}
+
+
+def test_every_other_entry_is_a_row_of_a_factory():
+    rows = {"_bound.<locals>.entry", "_exact.<locals>.entry"}
+    found = {rid: entry.__qualname__ for rid, entry in REGISTRY.items()
+             if rid not in ENTRY_FUNCTIONS and entry.__qualname__ not in rows}
+    assert not found, f"entries that are not rows: {found}"
 
 
 def test_registry_entries_take_the_context_and_no_setting():

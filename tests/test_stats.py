@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from sumprod import (
     DomainError,
     FiniteSet,
+    ResourceError,
     d_exhaustive,
     d_upper,
     differenceset,
@@ -107,6 +108,10 @@ def test_energy_matches_quadruple_oracle():
               FiniteSet([Fraction(1, 2), Fraction(2, 3), 5, 7])]:
         for mode in ("add", "mul"):
             assert energy(A, mode=mode) == energy_by_quadruples(A, mode=mode)
+    # 22^4 quadruples fit in the limit and 23^4 do not
+    assert 22**4 <= stats.QUADRUPLE_LIMIT < 23**4
+    with pytest.raises(ResourceError, match="quadruple enumeration too large"):
+        energy_by_quadruples(FiniteSet(range(1, 24)))
 
 
 @given(positive_sets)
@@ -183,6 +188,20 @@ def test_d_exhaustive_fixture():
     prof = d_exhaustive(A, A, 3)
     assert prof.d_upper == Fraction(8, 3)
     assert prof.witness_C == FiniteSet([1, 2])
+
+
+@pytest.mark.parametrize("A, ground, max_size, error, message", [
+    (FiniteSet([0, 1]), FiniteSet([1, 2]), 2, DomainError,
+     "doubling profile requires 0 not in the sets"),
+    (FiniteSet([1, 2]), FiniteSet([0, 1]), 2, DomainError,
+     "doubling profile requires 0 not in the sets"),
+    (FiniteSet([1, 2]), FiniteSet(range(1, 22)), 2, ResourceError,
+     "ground set too large for exhaustive d"),
+    (FiniteSet([1, 2]), FiniteSet([1, 2]), 0, DomainError, "max_size must be positive"),
+])
+def test_d_exhaustive_refusals(A, ground, max_size, error, message):
+    with pytest.raises(error, match=message):
+        d_exhaustive(A, ground, max_size)
 
 
 def test_d_exhaustive_dominates_default_bounds():

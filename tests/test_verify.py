@@ -56,6 +56,12 @@ def test_levelset_fixture():
     assert r.passed is None and not r.explicit
 
 
+def test_gen_sigma_of_a_sum_free_set_has_ratio_zero():
+    # no x + y = z in {1, 3, 5}; d(A) = 3 renders the rhs 3^(1/3) 3^(5/3) = 9
+    r = evaluate("GEN-SIGMA", FiniteSet([1, 3, 5]))
+    assert (r.lhs, r.rhs, r.ratio, r.explicit, r.passed) == (0, 9, 0, False, None)
+
+
 @pytest.mark.parametrize("tau", [verify.LEVEL_TAU])
 def test_level_counts_at_rational_tau(tau):
     A = FiniteSet([1, 2, 3, 4, 6, 8, 12])
