@@ -1,8 +1,9 @@
 """Exact rational scalars and immutable finite sets.
 
-Everything downstream works over `Fraction` elements; there is no floating
+Everything downstream works over exact rationals; there is no floating
 point anywhere in the counting paths.  A `FiniteSet` is an immutable,
-strictly sorted, duplicate-free tuple of rationals with O(1) membership.
+strictly sorted, duplicate-free tuple of `Fraction`s that also holds its
+scaled integers, on which it sorts, compares, hashes and tests membership.
 The joint scaling of sets to integers and the canonical JSON are written here only.
 """
 
@@ -16,7 +17,6 @@ from typing import Collection, Iterable, Iterator, Sequence
 
 Scalar = Fraction
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -68,29 +68,51 @@ def format_scalar(x: Fraction) -> str:
 
 
 class FiniteSet:
-    """Immutable, sorted, duplicate-free set of rational scalars."""
+    """Immutable, sorted, duplicate-free set of rational scalars.
 
-    __slots__ = ("_elems", "_members")
+    Besides its `Fraction` elements a set holds its scaled form: the sorted
+    integers m*a and m, the lcm of the elements' denominators.  The form is
+    canonical, so equality, hashing, membership and `scaled_integers` work
+    on it.
+    """
+
+    __slots__ = ("_elems", "_scaled", "_members")
 
     def __init__(self, values: Iterable):
-        self._members = frozenset(map(as_scalar, values))
-        if not self._members:
+        elems = list(map(as_scalar, values))
+        if not elems:
             raise DomainError("empty set")
-        self._elems: tuple[Fraction, ...] = tuple(sorted(self._members))
+        ints, m = _scale(elems)
+        by_int = dict(zip(ints, elems))
+        ints = sorted(by_int)
+        self._elems: tuple[Fraction, ...] = tuple([by_int[i] for i in ints])
+        self._scaled = (tuple(ints), m)
+        self._members = None
 
     @classmethod
     def from_sorted(cls, elems: Sequence[Fraction]) -> "FiniteSet":
         """Wrap Fractions that are already strictly increasing (not checked).
 
         Skips the sort of the constructor, for callers that produce their
-        values in order from integer keys.
+        values in order from integer keys; the scaled form is computed when
+        first read.
         """
         if not elems:
             raise DomainError("empty set")
         self = object.__new__(cls)
-        self._elems = tuple(elems)
-        self._members = frozenset(self._elems)
+        self._elems, self._scaled, self._members = tuple(elems), None, None
         return self
+
+    def _form(self) -> tuple[tuple[int, ...], int]:
+        """The scaled form (sorted m*a, m)."""
+        if self._scaled is None:
+            self._scaled = _scale(self._elems)
+        return self._scaled
+
+    def _member_ints(self) -> frozenset:
+        if self._members is None:
+            self._members = frozenset(self._form()[0])
+        return self._members
 
     @property
     def elements(self) -> tuple[Fraction, ...]:
@@ -103,19 +125,27 @@ class FiniteSet:
         return iter(self._elems)
 
     def __contains__(self, x) -> bool:
-        return as_scalar(x) in self._members
+        x = as_scalar(x)
+        m = self._form()[1]
+        return m % x.denominator == 0 and x.numerator * (m // x.denominator) in self._member_ints()
 
     def __getitem__(self, i: int) -> Fraction:
         return self._elems[i]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteSet) and self._elems == other._elems
+        return isinstance(other, FiniteSet) and self._form() == other._form()
 
     def __hash__(self) -> int:
-        return hash(self._elems)
+        return hash(self._form())
 
     def __le__(self, other: "FiniteSet") -> bool:
-        return self._members <= other._members
+        ints, m = self._form()
+        om = other._form()[1]
+        # self's denominators all divide om only when their lcm m does
+        if om % m:
+            return False
+        k, members = om // m, other._member_ints()
+        return all(i * k in members for i in ints)
 
     def __lt__(self, other: "FiniteSet") -> bool:
         # Lexicographic on the sorted element tuples; used for tie-breaking.
@@ -128,7 +158,7 @@ class FiniteSet:
     # -- convenience predicates -------------------------------------------
 
     def has_zero(self) -> bool:
-        return ZERO in self._members
+        return 0 in self._form()[0]
 
     def is_positive(self) -> bool:
         return self._elems[0] > 0
@@ -148,11 +178,15 @@ class FiniteSet:
         return FiniteSet(ONE / a for a in self._elems)
 
     def union(self, other: "FiniteSet") -> "FiniteSet":
-        return FiniteSet(self._members | other._members)
+        x, y, _ = scaled_integers(self, other)
+        by_int = dict(zip(x + y, self._elems + other._elems))
+        return FiniteSet.from_sorted([by_int[i] for i in sorted(by_int)])
 
     def intersect(self, other: "FiniteSet") -> "FiniteSet | None":
-        common = self._members & other._members
-        return FiniteSet(common) if common else None
+        x, y, _ = scaled_integers(self, other)
+        common = set(y)
+        kept = [a for a, i in zip(self._elems, x) if i in common]
+        return FiniteSet.from_sorted(kept) if kept else None
 
 
 def dilate(A: FiniteSet, alpha) -> FiniteSet:
@@ -165,10 +199,19 @@ def dilate(A: FiniteSet, alpha) -> FiniteSet:
 
 # -- primitives the other modules share: joint scaling, canonical JSON ----
 
+def _scale(elems) -> tuple[tuple[int, ...], int]:
+    """(m*a for a in elems, in their order, m), m the lcm of their denominators."""
+    m = lcm(*[a.denominator for a in elems])
+    return tuple([a.numerator * (m // a.denominator) for a in elems]), m
+
+
 def scaled_integers(*sets: Collection[Fraction]) -> tuple:
-    """(m*S as ints for each S in sets, ..., m), m the lcm of all their denominators."""
-    m = lcm(*(a.denominator for S in sets for a in S))
-    return (*([a.numerator * (m // a.denominator) for a in S] for S in sets), m)
+    """(m*S as ints for each S in sets, ..., m), m the lcm of all their denominators.
+
+    A `FiniteSet` gives its cached scaled form, rescaled to the common m."""
+    forms = [S._form() if isinstance(S, FiniteSet) else _scale(S) for S in sets]
+    m = lcm(*[k for _, k in forms])
+    return (*(list(ints) if k == m else [i * (m // k) for i in ints] for ints, k in forms), m)
 
 
 def canonical_json(obj) -> str:

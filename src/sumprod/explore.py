@@ -12,14 +12,14 @@ from __future__ import annotations
 import datetime
 import json
 import random
-from bisect import insort
+from bisect import bisect
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from .exactset import (DomainError, FiniteSet, ParseError, canonical_json, format_scalar,
-                       parse_scalar)
+                       parse_scalar, scaled_integers)
 from .stats import productset
 from .verify import REGISTRY, evaluate
 
@@ -85,14 +85,18 @@ def mutate(A: FiniteSet, ground: FiniteSet, seed: int) -> tuple[FiniteSet, bool]
 
     Returns (set, moved); moved is False when no legal swap exists.
     """
-    pool = [x for x in ground.elements if x not in A._members]  # in order, as ground is
+    g, a, _ = scaled_integers(ground, A)
+    members = set(a)
+    pool = [i for i, x in enumerate(g) if x not in members]  # in order, as ground is
     if not pool:
         return A, False
     rng = random.Random(seed)
     out = rng.choice(pool)
-    dropped = rng.choice(A.elements)
-    kept = [x for x in A.elements if x != dropped]
-    insort(kept, out)
+    dropped = rng.choice(range(len(a)))
+    del a[dropped]
+    kept = list(A.elements)
+    del kept[dropped]
+    kept.insert(bisect(a, g[out]), ground[out])
     return FiniteSet.from_sorted(kept), True
 
 
@@ -169,7 +173,7 @@ def search_extremal(inequality_id: str, n: int, mode: str,
             if evaluated >= budget:
                 truncated = True
                 break
-            A = FiniteSet(combo)
+            A = FiniteSet.from_sorted(combo)
             evaluated += 1
             cand = (_ratio_of(inequality_id, A), A)
             if _better(maximize, cand, best):
@@ -185,14 +189,13 @@ def search_extremal(inequality_id: str, n: int, mode: str,
         if restarts < 1:
             raise DomainError(f"hillclimb search needs restarts >= 1, got {restarts}")
         rng = random.Random(seed)
-        # the ratio of each set evaluated in this call, keyed by the set's own
-        # element tuple, so that a set held here keeps no membership table
+        # the ratio of each set evaluated in this call, keyed by the set
         seen = {}
 
         def ratio(A):
-            r = seen.get(A.elements)
+            r = seen.get(A)
             if r is None:
-                r = seen[A.elements] = _ratio_of(inequality_id, A)
+                r = seen[A] = _ratio_of(inequality_id, A)
             return r
 
         for _ in range(restarts):

@@ -7,8 +7,10 @@ functional min_C |AC|^2/(|A||C|).
 
 All counting is exact and goes through one kernel, `pair_counts`, which
 keys each pair a∘b by an integer (scaled sums, differences and products,
-or a reduced quotient packed into one integer) and counts the keys with
-numpy int64 when that is safe, with a Python-int Counter otherwise.
+or a reduced quotient packed into one integer) and counts the keys with a
+Counter over Python ints on a small grid, where numpy's fixed set-up costs
+more than the count, or past int64, and with numpy int64 otherwise; keys
+that fit int64 come back as the same sorted int64 arrays from either engine.
 Fractions are built only for the distinct values a caller gets back.
 `SetContext` holds the A+A, AA and A/A kernel results of one set and is
 the only reader of their format; every per-set statistic reads one.
@@ -16,6 +18,7 @@ the only reader of their format; every per-set statistic reads one.
 
 from __future__ import annotations
 
+import hashlib
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -28,22 +31,29 @@ import numpy as np
 
 from ._approx import log2_frac
 from .exactset import (DomainError, FiniteSet, ResourceError, Scalar, as_scalar, dilate,
-                       scaled_integers)
+                       format_scalar, scaled_integers)
 
 # numpy runs when every integer entering a key, and the number of pairs,
 # is below this: sums and products of two stay below 2^62, a packed
 # quotient below 2^63, and the sum of squared counts below 2^62.
 _INT64_SAFE = 1 << 31
+# Up to this many int64-safe pairs a Counter over Python-int keys beats
+# numpy's fixed set-up cost, for every op (CHANGES.md has the timings).
+_SMALL_GRID = 25
 _OUTER = {"add": np.add.outer, "sub": np.subtract.outer, "mul": np.multiply.outer}
 _D_UPPER_PAIR_BUDGET = 4_000_000
 QUADRUPLE_LIMIT = 250_000
 
 
-def _counted(keys) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys and their counts: numpy for an int64 array, a Counter for Python ints."""
-    if isinstance(keys, np.ndarray) and keys.dtype != object:
+def _counted(keys, safe: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys and their counts: numpy for an int64 array, a Counter
+    for Python ints, returned ascending as int64 when they are int64-safe."""
+    if isinstance(keys, np.ndarray):
         return np.unique(keys, return_counts=True)
     counts = Counter(keys)
+    if safe:
+        distinct = sorted(counts)
+        return np.array(distinct, np.int64), np.array([counts[k] for k in distinct], np.int64)
     return np.array(list(counts), dtype=object), np.array(list(counts.values()), dtype=object)
 
 
@@ -54,17 +64,20 @@ def _quotient_key(p: int, q: int, shift: int) -> int:
 
 def _quotient_keys(left, right):
     """Row-major keys of the quotients (u·v)/(w·z) over (u, w) in left, (v, z)
-    in right, and their shift: an int64 array, or Python ints past 2^31."""
+    in right, their shift, and whether they are int64-safe: an int64 array
+    past `_SMALL_GRID` pairs, Python ints otherwise."""
     (u, w), (v, z) = left, right
     p_max = max(map(abs, u)) * max(map(abs, v))
     q_max = max(map(abs, w)) * max(map(abs, z))
-    if max(p_max, q_max, len(u) * len(v)) < _INT64_SAFE:
+    safe = max(p_max, q_max, len(u) * len(v)) < _INT64_SAFE
+    if safe and len(u) * len(v) > _SMALL_GRID:
         p = np.multiply.outer(np.array(u, np.int64), np.array(v, np.int64))
         q = np.multiply.outer(np.array(w, np.int64), np.array(z, np.int64))
         g = np.gcd(p, q) * np.sign(q)
-        return (((p // g) << 32) + q // g).ravel(), 32
-    shift = q_max.bit_length()
-    return (_quotient_key(a * c, b * d, shift) for a, b in zip(u, w) for c, d in zip(v, z)), shift
+        return (((p // g) << 32) + q // g).ravel(), 32, True
+    shift = 32 if safe else q_max.bit_length()
+    keys = (_quotient_key(a * c, b * d, shift) for a, b in zip(u, w) for c, d in zip(v, z))
+    return keys, shift, safe
 
 
 def _pair_keys(A, B, op: str):
@@ -72,36 +85,38 @@ def _pair_keys(A, B, op: str):
 
     With shift None the key k stands for k/den, so key order is value
     order; otherwise k packs the reduced quotient p/q, q > 0, as
-    p·2^shift + q.  The numpy path returns the keys sorted.  For 'div',
-    pairs holds the key of every pair, row-major; it is None for the other ops.
+    p·2^shift + q.  int64-safe keys come back sorted, whichever engine
+    counted them.  For 'div', pairs holds the key of every pair, row-major;
+    it is None for the other ops.
     """
     if op not in ("add", "sub", "mul", "div"):
         raise DomainError(f"unknown mode {op!r}")
-    if op == "div":
-        B = [b for b in B if b != 0]
-        if not B:
-            raise DomainError("no nonzero divisors")
     if op == "mul":
         (x, ma), (y, mb) = scaled_integers(A), scaled_integers(B)
         den = ma * mb
     else:
         x, y, den = scaled_integers(A, B)
         if op == "div":
+            y = [b for b in y if b]
+            if not y:
+                raise DomainError("no nonzero divisors")
             # a quotient does not change when both sides are scaled alike
-            keys, shift = _quotient_keys((x, [1] * len(x)), ([1] * len(y), y))
-            pairs = keys if isinstance(keys, np.ndarray) else np.array(list(keys), dtype=object)
-            return (*_counted(pairs), pairs, None, shift)
-    if max(*map(abs, x), *map(abs, y), len(x) * len(y)) < _INT64_SAFE:
+            keys, shift, safe = _quotient_keys((x, [1] * len(x)), ([1] * len(y), y))
+            keys = keys if isinstance(keys, np.ndarray) else list(keys)
+            return (*_counted(keys, safe), np.asarray(keys, np.int64 if safe else object),
+                    None, shift)
+    safe = max(*map(abs, x), *map(abs, y), len(x) * len(y)) < _INT64_SAFE
+    if safe and len(x) * len(y) > _SMALL_GRID:
         keys = _OUTER[op](np.array(x, np.int64), np.array(y, np.int64))
         return (*np.unique(keys, return_counts=True), None, den, None)
-    if op == "mul" and den > 1:
+    if op == "mul" and den > 1 and not safe:
         # A large common denominator (that of A/A, say) blows the scaled
         # integers up; key on the reduced products of the element pairs.
-        keys, shift = _quotient_keys(([a.numerator for a in A], [a.denominator for a in A]),
-                                     ([b.numerator for b in B], [b.denominator for b in B]))
-        return (*_counted(keys), None, None, shift)
+        keys, shift, safe = _quotient_keys(([a.numerator for a in A], [a.denominator for a in A]),
+                                           ([b.numerator for b in B], [b.denominator for b in B]))
+        return (*_counted(keys, safe), None, None, shift)
     combine = getattr(operator, op)
-    return (*_counted(combine(a, b) for a in x for b in y), None, den, None)
+    return (*_counted((combine(a, b) for a in x for b in y), safe), None, den, None)
 
 
 def pair_counts(A: FiniteSet, B: FiniteSet, op: str) -> tuple[np.ndarray, np.ndarray]:
@@ -109,8 +124,8 @@ def pair_counts(A: FiniteSet, B: FiniteSet, op: str) -> tuple[np.ndarray, np.nda
 
     op is 'add', 'sub', 'mul' or 'div' ('div' skips b = 0).  The keys are
     distinct and equal exactly when the values are, so |A∘B| = len(keys)
-    and the energy is sum(counts²).  Both arrays are int64 on the numpy path
-    and of Python ints otherwise.
+    and the energy is sum(counts²).  Both arrays are int64 when the keys are
+    int64-safe and of Python ints otherwise.
     """
     return _pair_keys(A, B, op)[:2]
 
@@ -352,6 +367,13 @@ class SetContext:
         return Counter(dict(zip(*_ordered(self._result(op))[:2])))
 
     @cached_property
+    def digest(self) -> str:
+        """The `inputs` of a report on A: its size, extremes and the head of
+        the SHA-256 of its repr."""
+        A, h = self.A, hashlib.sha256(repr(self.A).encode()).hexdigest()[:10]
+        return f"|A|={self.n};min={format_scalar(A.min())};max={format_scalar(A.max())};{h}"
+
+    @cached_property
     def nsum(self) -> int:
         return len(self._result("add")[1])
 
@@ -371,6 +393,14 @@ class SetContext:
     @cached_property
     def K(self) -> Fraction:
         return Fraction(self.nmin, self.n)
+
+    @cached_property
+    def sums_in_A(self) -> int:
+        """#{(a, b) in A×A : a + b in A}, the count of `sigma_count(1, A, 1, A, -1, A)`:
+        the counts of the A+A keys that are A's own scaled integers."""
+        keys, counts, _, _, _ = self._result("add")
+        members = set(scaled_integers(self.A)[0])  # A+A's keys are on A's scale
+        return sum(c for k, c in zip(keys.tolist(), counts.tolist()) if k in members)
 
     @cached_property
     def Ex(self) -> int:

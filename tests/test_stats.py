@@ -356,6 +356,55 @@ def test_pair_kernel_at_the_int64_boundary(A, B, numpy_ops):
         assert keys.dtype == expected and counts.dtype == expected, op
 
 
+def engine_result(A, B, op, threshold):
+    """`_pair_keys(A, B, op)` with the Counter engine's threshold set to threshold."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_SMALL_GRID", threshold)
+        return stats._pair_keys(A, B, op)
+
+
+kernel_values = st.one_of(
+    st.integers(-(2**31 - 1), 2**31 - 1),  # int64-safe integers
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),  # small rationals
+    st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 3000)))  # mixed denominators
+kernel_sets = st.sets(kernel_values, min_size=1, max_size=7).map(FiniteSet)
+
+
+@given(st.sampled_from(sorted(ALL_OPS)), kernel_sets, kernel_sets)
+@example("mul", PRIME_RECIPROCALS, PRIME_RECIPROCALS)
+@example("div", FiniteSet([2**31 - 1, -3, 5]), FiniteSet([-(2**31 - 1), 7, 0]))
+@settings(max_examples=200, deadline=None)
+def test_the_counter_engine_matches_numpy(op, A, B):
+    # a threshold of 0 sends every int64-safe grid to numpy, 10^6 to the Counter
+    try:
+        counter = engine_result(A, B, op, 10**6)
+    except DomainError:
+        with pytest.raises(DomainError, match="no nonzero divisors"):
+            engine_result(A, B, op, 0)
+        return
+    numpy_ = engine_result(A, B, op, 0)
+    for got, expected in zip(counter[:3], numpy_[:3]):
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert counter[3:] == numpy_[3:]
+
+
+@pytest.mark.parametrize("op", sorted(ALL_OPS))
+def test_the_threshold_decides_the_engine(op, monkeypatch):
+    # |A| |B| = T pairs are counted by the Counter, T + 1 by numpy
+    unique, ran = np.unique, []
+    monkeypatch.setattr(np, "unique", lambda *a, **k: ran.append(a[0].size) or unique(*a, **k))
+    T, A = stats._SMALL_GRID, FiniteSet([3])
+    for size in (T, T + 1):
+        B = FiniteSet(range(1, size + 1))
+        check_kernel(A, B)
+        ran.clear()
+        keys, counts, *_ = stats._pair_keys(A, B, op)
+        assert keys.dtype == counts.dtype == np.int64
+        assert ran == ([] if size == T else [size]), size
+
+
 @pytest.mark.parametrize("k", [20, 40])
 def test_close_quotients_come_out_in_order(k):
     # 2^k/(2^k - 1) and (2^k + 1)/2^k differ by 1/(2^k (2^k - 1)), far less

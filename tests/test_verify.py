@@ -72,6 +72,33 @@ def test_level_counts_at_rational_tau(tau):
     assert evaluate("DA-LEVEL", A).lhs == sum(c >= tau for c in sums.values())
 
 
+@pytest.mark.parametrize("A", [
+    FiniteSet(range(1, 21)),  # 400 pairs: int64 counts from numpy
+    FiniteSet([1, 2, 3, 4, 6]),  # 25 pairs: int64 counts from the Counter
+    FiniteSet([2**40, 2**41, 3 * 2**40, 2**42, 5]),  # past 2^31: Python-int counts
+], ids=["numpy", "counter", "python"])
+def test_level_counts_on_every_kind_of_counts(A):
+    quotients = Counter(a / b for a in A for b in A)
+    sums = Counter(a + b for a in A for b in A)
+    ctx = SetContext(A)
+    assert evaluate("LEVELSET", A, ctx=ctx).lhs == sum(c >= 2 for c in quotients.values())
+    assert evaluate("DA-LEVEL", A, ctx=ctx).lhs == sum(c >= 2 for c in sums.values())
+
+
+@pytest.mark.parametrize("A", [
+    FiniteSet(range(1, 41)),
+    FiniteSet([Fraction(k, 6) for k in range(1, 30, 2)] + [Fraction(1, 3), 2]),
+    FiniteSet(range(-12, 13)),
+    FiniteSet([2**40, 2**41, 3 * 2**40, 2**42, -(2**41), 7]),
+    FiniteSet([1, 3, 5, 7, 9]),  # sum-free
+], ids=["integers", "rationals", "signed", "above-2^31", "sum-free"])
+def test_gen_sigma_count_matches_sigma_count(A):
+    ctx, count = SetContext(A), counting.sigma_count(1, A, 1, A, -1, A).count
+    assert ctx.sums_in_A == count
+    if not A.has_zero():
+        assert evaluate("GEN-SIGMA", A, ctx=ctx).lhs == count
+
+
 @pytest.mark.parametrize("rid, A, params", [
     ("LEVELSET", A123, {"tau": 3}),
     ("LEMMA3", S8, {"M": 3}),
@@ -293,6 +320,15 @@ def test_gen_sigma_reuses_the_context_doubling_bound(monkeypatch):
 
 
 # -- one derivation per statistic -----------------------------------------
+
+def test_verify_suite_digests_its_set_once(monkeypatch):
+    reprs = []
+    monkeypatch.setattr(FiniteSet, "__repr__",
+                        lambda A, rep=FiniteSet.__repr__: reprs.append(A) or rep(A))
+    reports = verify_suite(S8)
+    assert reprs == [S8]
+    assert {r.inputs for r in reports} == {evaluate("SOLY-PROD", S8).inputs}
+
 
 signed_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
