@@ -4,7 +4,8 @@ Generators cover the canonical tightness witnesses (arithmetic and
 geometric progressions and their products) plus seeded random families.
 `search_extremal` hunts for sets where a registry ratio is extremal, and
 best-known records persist to an append-only JSONL corpus that re-verifies
-itself on load.  Every ratio comes from `verify.evaluate`.
+itself on load.  Every ratio is `verify.entry_ratio`; a search reads each
+candidate from a context of its ground that lives only as long as the call.
 """
 
 from __future__ import annotations
@@ -12,16 +13,16 @@ from __future__ import annotations
 import datetime
 import json
 import random
-from bisect import bisect
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 
 from .exactset import (DomainError, FiniteSet, ParseError, canonical_json, format_scalar,
                        parse_scalar, scaled_integers)
-from .stats import productset
-from .verify import REGISTRY, evaluate
+from .stats import SetContext, productset
+from .verify import REGISTRY, entry_ratio
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -86,18 +87,21 @@ def mutate(A: FiniteSet, ground: FiniteSet, seed: int) -> tuple[FiniteSet, bool]
     Returns (set, moved); moved is False when no legal swap exists.
     """
     g, a, _ = scaled_integers(ground, A)
+    swapped = _swap(a, g, seed)
+    by_int = dict(zip(a, A.elements)) | dict(zip(g, ground.elements))
+    return FiniteSet.from_sorted([by_int[x] for x in swapped]), swapped is not a
+
+
+def _swap(a, g, seed: int):
+    """The ascending a with one of its entries swapped for one of the ascending g
+    outside a, both drawn by seed, as a new list; a itself when g has none outside a."""
     members = set(a)
-    pool = [i for i, x in enumerate(g) if x not in members]  # in order, as ground is
+    pool = [x for x in g if x not in members]  # in order, as g is
     if not pool:
-        return A, False
+        return a
     rng = random.Random(seed)
-    out = rng.choice(pool)
-    dropped = rng.choice(range(len(a)))
-    del a[dropped]
-    kept = list(A.elements)
-    del kept[dropped]
-    kept.insert(bisect(a, g[out]), ground[out])
-    return FiniteSet.from_sorted(kept), True
+    out, dropped = rng.choice(pool), rng.choice(range(len(a)))
+    return sorted([*a[:dropped], *a[dropped + 1:], out])
 
 
 # -- extremal search -------------------------------------------------------
@@ -133,12 +137,8 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _ratio_of(inequality_id: str, A: FiniteSet) -> Fraction:
-    return evaluate(inequality_id, A).ratio
-
-
 def _better(maximize: bool, cand, best) -> bool:
-    """cand/best are (ratio, set); lexicographically smallest set wins ties."""
+    """cand/best begin (ratio, set); lexicographically smallest set wins ties."""
     if best is None:
         return True
     if cand[0] != best[0]:
@@ -162,25 +162,26 @@ def search_extremal(inequality_id: str, n: int, mode: str,
     maximize = bool(config.get("maximize", False))
     if n < 2 or n > len(ground):
         raise DomainError("need 2 <= n <= |ground|")
+    ground_ctx = SetContext(ground)
 
-    best = None
-    truncated = False
+    def candidate(idx):
+        ctx = ground_ctx.subset(idx)
+        return entry_ratio(inequality_id, ctx), ctx.A, idx
+
+    best, truncated = None, False
+    generator = {"mode": mode, "ground": [format_scalar(x) for x in ground], "n": n,
+                 "budget": budget}
     if mode == "exhaustive":
         if budget < 1:
             raise DomainError(f"exhaustive search needs budget >= 1, got {budget}")
-        evaluated = 0
-        for combo in combinations(ground.elements, n):
+        for evaluated, idx in enumerate(combinations(range(len(ground)), n)):
             if evaluated >= budget:
                 truncated = True
                 break
-            A = FiniteSet.from_sorted(combo)
-            evaluated += 1
-            cand = (_ratio_of(inequality_id, A), A)
+            cand = candidate(idx)
             if _better(maximize, cand, best):
                 best = cand
-        generator = {"mode": "exhaustive", "ground": [format_scalar(x) for x in ground],
-                     "n": n, "budget": budget,
-                     "total_subsets": comb(len(ground), n)}
+        generator["total_subsets"] = comb(len(ground), n)
     elif mode == "hillclimb":
         if budget < 0:
             raise DomainError(f"hillclimb search needs budget >= 0, got {budget}")
@@ -189,33 +190,23 @@ def search_extremal(inequality_id: str, n: int, mode: str,
         if restarts < 1:
             raise DomainError(f"hillclimb search needs restarts >= 1, got {restarts}")
         rng = random.Random(seed)
-        # the ratio of each set evaluated in this call, keyed by the set
-        seen = {}
-
-        def ratio(A):
-            r = seen.get(A)
-            if r is None:
-                r = seen[A] = _ratio_of(inequality_id, A)
-            return r
-
+        # the candidate of each set evaluated in this call, keyed by its indices
+        visit = cache(candidate)
         for _ in range(restarts):
-            A = FiniteSet(rng.sample(ground.elements, n))
-            cur = (ratio(A), A)
+            # the draws of `mutate`, made on ground indices
+            cur = visit(tuple(sorted(rng.sample(range(len(ground)), n))))
             if _better(maximize, cur, best):
                 best = cur
             for _ in range(budget):
-                B, moved = mutate(cur[1], ground, rng.randrange(1 << 30))
-                if not moved:
+                swapped = _swap(cur[2], range(len(ground)), rng.randrange(1 << 30))
+                if swapped is cur[2]:
                     break
-                cand = (ratio(B), B)
-                accept = _better(maximize, cand, cur) or (
-                    cand[0] == cur[0] and rng.random() < 0.5)
-                if accept:
+                cand = visit(tuple(swapped))
+                if _better(maximize, cand, cur) or (cand[0] == cur[0] and rng.random() < 0.5):
                     cur = cand
                 if _better(maximize, cur, best):
                     best = cur
-        generator = {"mode": "hillclimb", "ground": [format_scalar(x) for x in ground],
-                     "n": n, "budget": budget, "seed": seed, "restarts": restarts}
+        generator.update(seed=seed, restarts=restarts)
     else:
         raise DomainError(f"unknown search mode {mode!r}")
 
@@ -263,7 +254,7 @@ def corpus_load(path) -> list[ExtremalRecord]:
                 timestamp=obj.get("timestamp", ""),
                 artifact_version=obj.get("artifact_version", ARTIFACT_VERSION),
                 truncated=bool(obj.get("truncated", False)))
-            if _ratio_of(rec.inequality_id, A) != stored:
+            if entry_ratio(rec.inequality_id, SetContext(A)) != stored:
                 rec = replace(rec, drift=True)
             records.append(rec)
     return records

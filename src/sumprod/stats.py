@@ -18,7 +18,6 @@ the only reader of their format; every per-set statistic reads one.
 
 from __future__ import annotations
 
-import hashlib
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -28,6 +27,11 @@ from itertools import combinations
 from math import floor, gcd
 
 import numpy as np
+
+try:  # the standard library's own SHA-256; hashlib loads OpenSSL (3.6 MiB RSS, x86-64 Linux)
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from ._approx import log2_frac
 from .exactset import (DomainError, FiniteSet, ResourceError, Scalar, as_scalar, dilate,
@@ -80,15 +84,11 @@ def _quotient_keys(left, right):
     return keys, shift, safe
 
 
-def _pair_keys(A, B, op: str):
-    """(keys, counts, pairs, den, shift) of a∘b over A×B.
-
-    With shift None the key k stands for k/den, so key order is value
-    order; otherwise k packs the reduced quotient p/q, q > 0, as
-    p·2^shift + q.  int64-safe keys come back sorted, whichever engine
-    counted them.  For 'div', pairs holds the key of every pair, row-major;
-    it is None for the other ops.
-    """
+def _pair_grid(A, B, op: str):
+    """(keys, shift, safe, den): the key of a∘b for each pair of A×B, row-major
+    ('div' skips b = 0), int64 past `_SMALL_GRID` pairs when safe (int64-safe)
+    and Python ints otherwise.  With shift None the key k stands for k/den, so
+    key order is value order; otherwise k packs the reduced p/q, q > 0, as p·2^shift + q."""
     if op not in ("add", "sub", "mul", "div"):
         raise DomainError(f"unknown mode {op!r}")
     if op == "mul":
@@ -102,21 +102,25 @@ def _pair_keys(A, B, op: str):
                 raise DomainError("no nonzero divisors")
             # a quotient does not change when both sides are scaled alike
             keys, shift, safe = _quotient_keys((x, [1] * len(x)), ([1] * len(y), y))
-            keys = keys if isinstance(keys, np.ndarray) else list(keys)
-            return (*_counted(keys, safe), np.asarray(keys, np.int64 if safe else object),
-                    None, shift)
+            return keys if isinstance(keys, np.ndarray) else list(keys), shift, safe, None
     safe = max(*map(abs, x), *map(abs, y), len(x) * len(y)) < _INT64_SAFE
     if safe and len(x) * len(y) > _SMALL_GRID:
-        keys = _OUTER[op](np.array(x, np.int64), np.array(y, np.int64))
-        return (*np.unique(keys, return_counts=True), None, den, None)
+        return _OUTER[op](np.array(x, np.int64), np.array(y, np.int64)), None, True, den
     if op == "mul" and den > 1 and not safe:
         # A large common denominator (that of A/A, say) blows the scaled
         # integers up; key on the reduced products of the element pairs.
-        keys, shift, safe = _quotient_keys(([a.numerator for a in A], [a.denominator for a in A]),
-                                           ([b.numerator for b in B], [b.denominator for b in B]))
-        return (*_counted(keys, safe), None, None, shift)
+        return (*_quotient_keys(([a.numerator for a in A], [a.denominator for a in A]),
+                                ([b.numerator for b in B], [b.denominator for b in B])), None)
     combine = getattr(operator, op)
-    return (*_counted((combine(a, b) for a in x for b in y), safe), None, den, None)
+    return (combine(a, b) for a in x for b in y), None, safe, den
+
+
+def _pair_keys(A, B, op: str):
+    """(keys, counts, pairs, den, shift): `_pair_grid(A, B, op)` counted, int64-safe
+    keys sorted by either engine; pairs is the grid of 'div', None for other ops."""
+    keys, shift, safe, den = _pair_grid(A, B, op)
+    pairs = np.asarray(keys, np.int64 if safe else object) if op == "div" else None
+    return (*_counted(keys, safe), pairs, den, shift)
 
 
 def pair_counts(A: FiniteSet, B: FiniteSet, op: str) -> tuple[np.ndarray, np.ndarray]:
@@ -331,19 +335,48 @@ def d_exhaustive(A: FiniteSet, ground: FiniteSet, max_size: int) -> DoublingProf
 
 class SetContext:
     """The statistics of one set A, each derived once from at most one pair-kernel
-    run for each of add, mul and div on A×A.  Only this class reads a kernel
-    result.  A context serves one top-level call, so no statistic outlives
-    the call that derived it."""
+    run for each of add, mul and div on A×A, or of a subset of A from A's grids.
+    Only this class reads a kernel result.  A context serves one top-level
+    call, so no statistic or grid outlives the call that derived it."""
 
     def __init__(self, A: FiniteSet):
         self.A = A
         self.n = len(A)
-        self._kernel = {}
+        self._kernel, self._grids, self._ground = {}, {}, None
+
+    def subset(self, idx) -> SetContext:
+        """The context of A's elements at the ascending indices idx; its kernel
+        results count A∘A's keys at idx × idx when they are int64-safe."""
+        sub = SetContext(FiniteSet.from_sorted(list(map(self.A.elements.__getitem__, idx))))
+        sub._ground = self, idx
+        return sub
+
+    def _grid(self, op: str):
+        """A∘A's keys as rows of a list, den, shift and the column of 0, which 'div'
+        skips (else None); None when the keys are not int64-safe."""
+        if op not in self._grids:
+            keys, shift, safe, den = _pair_grid(self.A, self.A, op)
+            keys = keys.ravel().tolist() if isinstance(keys, np.ndarray) else list(keys)
+            width = len(keys) // self.n
+            skip = self.A.elements.index(0) if width < self.n else None
+            rows = [keys[i:i + width] for i in range(0, len(keys), width)]
+            self._grids[op] = (rows, den, shift, skip) if safe else None
+        return self._grids[op]
 
     def _result(self, op: str):
-        """The pair-kernel result for A∘A, computed on first use."""
+        """The pair-kernel result for A∘A, computed on first use, from the ground's grid if any."""
         if op not in self._kernel:
-            self._kernel[op] = _pair_keys(self.A, self.A, op)
+            grid = self._ground and self._ground[0]._grid(op)
+            if grid is None:
+                self._kernel[op] = _pair_keys(self.A, self.A, op)
+            else:
+                (rows, den, shift, skip), idx = grid, self._ground[1]
+                cols = idx if skip is None else [j - (j > skip) for j in idx if j != skip]
+                if not cols:
+                    raise DomainError("no nonzero divisors")
+                keys = [row[c] for row in map(rows.__getitem__, idx) for c in cols]
+                pairs = np.array(keys, np.int64) if op == "div" else None
+                self._kernel[op] = (*_counted(keys, True), pairs, den, shift)
         return self._kernel[op]
 
     def _quots(self, tau=None):
@@ -370,7 +403,7 @@ class SetContext:
     def digest(self) -> str:
         """The `inputs` of a report on A: its size, extremes and the head of
         the SHA-256 of its repr."""
-        A, h = self.A, hashlib.sha256(repr(self.A).encode()).hexdigest()[:10]
+        A, h = self.A, sha256(repr(self.A).encode()).hexdigest()[:10]
         return f"|A|={self.n};min={format_scalar(A.min())};max={format_scalar(A.max())};{h}"
 
     @cached_property
@@ -397,9 +430,9 @@ class SetContext:
     @cached_property
     def sums_in_A(self) -> int:
         """#{(a, b) in A×A : a + b in A}, the count of `sigma_count(1, A, 1, A, -1, A)`:
-        the counts of the A+A keys that are A's own scaled integers."""
-        keys, counts, _, _, _ = self._result("add")
-        members = set(scaled_integers(self.A)[0])  # A+A's keys are on A's scale
+        the counts of the A+A keys k/den that are elements of A."""
+        keys, counts, _, den, _ = self._result("add")
+        members = {a.numerator * (den // a.denominator) for a in self.A}  # a's key: a·den
         return sum(c for k, c in zip(keys.tolist(), counts.tolist()) if k in members)
 
     @cached_property

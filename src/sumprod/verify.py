@@ -3,7 +3,8 @@
 Every labelled sum-product bound is evaluated on a concrete set: exact
 pass/fail where the constant is explicit, an exact-rational tightness
 ratio where the statement hides a constant.  Each entry reads one
-`SetContext` and returns numbers; `evaluate` builds the report.  Also
+`SetContext` and returns numbers; `evaluate` builds the report, and
+`entry_ratio` renders the ratio of the same entry alone.  Also
 houses the executable low-L construction, the Katz-Koester inclusion test
 and the trace of the |A|^{4/3+c} argument at toy scale, with the exhaustive
 subset oracle that stands in for its Balog-Szemeredi-Gowers step.
@@ -88,11 +89,8 @@ def _need(ctx: SetContext, nonzero=False, positive=False):
 # Each entry reads the context and returns (lhs, rhs, ratio, explicit, passed).
 
 def _ratio(lhs, factors):
-    """Hidden-constant entry: rhs = prod base^exp, rendered not asserted; a zero lhs has ratio 0."""
-    lhs = Fraction(lhs)
-    rhs = product_pow(factors)
-    ratio = product_pow([(lhs, 1)] + [(b, -Fraction(e)) for b, e in factors]) if lhs else lhs
-    return lhs, rhs, ratio, False, None
+    """lhs over prod base^exp, rendered; a zero lhs has ratio 0."""
+    return product_pow([(lhs, 1)] + [(b, -e) for b, e in factors]) if lhs else lhs
 
 
 def _bound(lhs, *factors, nonzero=False):
@@ -102,9 +100,15 @@ def _bound(lhs, *factors, nonzero=False):
     lhs = attrgetter(lhs) if isinstance(lhs, str) else lhs
     factors = [(attrgetter(name), Fraction(e)) for name, e in factors]
 
-    def entry(ctx):
+    def values(ctx):
         _need(ctx, nonzero=nonzero)
-        return _ratio(lhs(ctx), [(base(ctx), e) for base, e in factors])
+        return Fraction(lhs(ctx)), [(base(ctx), e) for base, e in factors]
+
+    def entry(ctx):
+        left, bases = values(ctx)
+        return left, product_pow(bases), _ratio(left, bases), False, None
+
+    entry.ratio = lambda ctx: _ratio(*values(ctx))  # the ratio alone, for `entry_ratio`
     return entry
 
 
@@ -206,15 +210,27 @@ def evaluate(rid: str, A: FiniteSet, params: dict | None = None,
              ctx: SetContext | None = None) -> InequalityReport:
     """Evaluate one registry entry on A; a given ctx must be A's.  params are
     keyword arguments of the entry: only CS-SUBS takes any, its subsets A1 and A2."""
-    if rid not in REGISTRY:
-        raise DomainError(f"unknown registry id {rid!r}")
+    entry = _entry(rid)
     if ctx is None:
         ctx = SetContext(A)
     elif ctx.A != A:
         raise DomainError("the context is for another set")
-    lhs, rhs, ratio, explicit, passed = REGISTRY[rid](ctx, **(params or {}))
+    lhs, rhs, ratio, explicit, passed = entry(ctx, **(params or {}))
     return InequalityReport(id=rid, lhs=lhs, rhs=rhs, ratio=ratio, explicit=explicit,
                             passed=passed, inputs=ctx.digest)
+
+
+def entry_ratio(rid: str, ctx: SetContext) -> Fraction:
+    """The ratio of `evaluate(rid, ctx.A, ctx=ctx)` alone, from the same row:
+    no rhs of a bound is rendered, and no digest or report is made."""
+    entry = _entry(rid)
+    return entry.ratio(ctx) if hasattr(entry, "ratio") else entry(ctx)[2]
+
+
+def _entry(rid: str):
+    if rid not in REGISTRY:
+        raise DomainError(f"unknown registry id {rid!r}")
+    return REGISTRY[rid]
 
 
 def verify_suite(A: FiniteSet, ids: list[str] | None = None) -> list[InequalityReport]:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -208,7 +209,7 @@ def test_explore_zero_budget_exit_1(capsys, monkeypatch):
     def ratio_of(*args):
         raise AssertionError("a set was evaluated before the budget check")
 
-    monkeypatch.setattr(explore, "_ratio_of", ratio_of)
+    monkeypatch.setattr(explore, "entry_ratio", ratio_of)
     code, out, err = run(capsys, "explore", "--ineq", "SOLY-PROD", "--n", "3", "--budget", "0")
     assert code == 1 and out == ""
     assert err == "invalid input: exhaustive search needs budget >= 1, got 0\n"
@@ -225,7 +226,7 @@ def test_explore_hillclimb_restarts_below_1_exit_1(capsys, monkeypatch):
     def ratio_of(*args):
         raise AssertionError("a set was evaluated before the restarts check")
 
-    monkeypatch.setattr(explore, "_ratio_of", ratio_of)
+    monkeypatch.setattr(explore, "entry_ratio", ratio_of)
     code, out, err = run(capsys, "explore", "--ineq", "SOLY-PROD", "--n", "3", "--mode",
                          "hillclimb", "--seed", "1", "--restarts", "-5", "--json")
     assert code == 1 and out == ""
@@ -379,3 +380,27 @@ def test_importing_the_cli_loads_no_module(module):
     done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout == "False\n"
+
+
+def test_stdout_does_not_depend_on_the_hash_seed(tmp_path):
+    """stats, verify and seeded searches in both modes print the same bytes,
+    timestamps aside, whatever PYTHONHASHSEED is."""
+    values, ground = tmp_path / "values.txt", tmp_path / "ground.txt"
+    values.write_text("1\n2\n3\n5\n8\n1/2\n-3/4\n")
+    ground.write_text("\n".join(["-2/3", "-1/2", "0", "1/3", "1", "3/2", "2", "5/2", "3", "4",
+                                 "6", "9"]) + "\n")
+    search = ["explore", "--ground", str(ground), "--n", "4", "--json"]
+    commands = (["stats", "--json", "--input", str(values)],
+                ["verify", "--json", "--input", str(values)],
+                search + ["--ineq", "COR-SOL", "--mode", "hillclimb", "--seed", "5",
+                          "--budget", "40", "--restarts", "2"],
+                search + ["--ineq", "SOLY-QUOT", "--mode", "exhaustive", "--budget", "300"])
+    src = Path(__file__).resolve().parent.parent / "src"
+    for argv in commands:
+        outs = set()
+        for hash_seed in ("0", "20598"):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+            done = subprocess.run([sys.executable, "-m", "sumprod.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120, check=True)
+            outs.add(re.sub(r'"timestamp":"[^"]*"', '"timestamp":""', done.stdout))
+        assert len(outs) == 1 and outs.pop().startswith(("{", "[")), argv

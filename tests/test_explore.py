@@ -21,7 +21,7 @@ from sumprod import (
     mutate,
     search_extremal,
 )
-from sumprod import explore
+from sumprod import evaluate, explore, stats
 
 
 def test_ap_gp_generators():
@@ -186,21 +186,21 @@ def test_hillclimb_negative_budget_is_refused(monkeypatch):
     def ratio_of(*args):
         raise AssertionError("a set was evaluated before the budget check")
 
-    monkeypatch.setattr(explore, "_ratio_of", ratio_of)
+    monkeypatch.setattr(explore, "entry_ratio", ratio_of)
     cfg = {"ground": FiniteSet(range(1, 9)), "budget": -5, "seed": 11}
     with pytest.raises(DomainError, match=r"hillclimb search needs budget >= 0, got -5"):
         search_extremal("SOLY-PROD", 3, "hillclimb", cfg)
 
 
 def _counting_ratio_of(monkeypatch):
-    """Spy on explore._ratio_of: the list of sets it is asked to evaluate."""
-    calls, ratio_of = [], explore._ratio_of
+    """Spy on explore.entry_ratio: the list of sets it is asked to evaluate."""
+    calls, entry_ratio = [], explore.entry_ratio
 
-    def spy(inequality_id, A):
-        calls.append(A)
-        return ratio_of(inequality_id, A)
+    def spy(inequality_id, ctx):
+        calls.append(ctx.A)
+        return entry_ratio(inequality_id, ctx)
 
-    monkeypatch.setattr(explore, "_ratio_of", spy)
+    monkeypatch.setattr(explore, "entry_ratio", spy)
     return calls
 
 
@@ -212,6 +212,58 @@ def test_hillclimb_evaluates_each_set_once_per_call(monkeypatch):
     # nothing outlives the call: the same search evaluates every set again
     second = search_extremal("COR-SOL", 4, "hillclimb", cfg)
     assert calls[62:] == calls[:62] and first == second
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The (A, op) of every stats._pair_grid call: every kernel run, the ground's
+    grid and `_pair_keys` alike, starts with one."""
+    calls, pair_grid = [], stats._pair_grid
+
+    def spy(A, B, op):
+        assert A is B
+        calls.append((A, op))
+        return pair_grid(A, B, op)
+
+    monkeypatch.setattr(stats, "_pair_grid", spy)
+    return calls
+
+
+THIRDS = FiniteSet([Fraction(k, 3) for k in range(-6, 7)])  # holds 0, which 'div' skips
+
+
+@pytest.mark.parametrize("budget", [5, 200])
+@pytest.mark.parametrize("rid, mode, ground, ops", [
+    ("COR-SOL", "hillclimb", THIRDS, ["add", "div", "mul"]),
+    ("MAIN-A", "exhaustive", THIRDS, ["add", "div", "mul"]),
+    ("SOLY-QUOT", "hillclimb", THIRDS, ["add", "div"]),
+    ("CS-SUBS", "exhaustive", FiniteSet(range(1, 14)), ["div", "mul"]),
+], ids=["COR-SOL", "MAIN-A", "SOLY-QUOT", "CS-SUBS"])
+def test_a_search_runs_the_kernel_only_on_its_ground(kernel_runs, rid, mode, ground, ops,
+                                                      budget):
+    search_extremal(rid, 4, mode, {"ground": ground, "budget": budget, "seed": 9})
+    assert all(A is ground for A, _ in kernel_runs)
+    assert sorted(op for _, op in kernel_runs) == ops
+
+
+def _evaluated_ratio(rid, ctx):
+    """The ratio of a fresh `evaluate` on the candidate, which reads no ground grid."""
+    return evaluate(rid, ctx.A).ratio
+
+
+@pytest.mark.parametrize("top, grid", [(2**31 - 1, True), (2**31, False)])
+@pytest.mark.parametrize("mode", ["hillclimb", "exhaustive"])
+def test_the_int64_boundary_routes_a_search(kernel_runs, monkeypatch, top, grid, mode):
+    ground = FiniteSet([top - d for d in (0, 1, 2, 4, 8, 16, 32, 64, 128)])
+    cfg = {"ground": ground, "budget": 100, "seed": 4, "restarts": 2}
+    record = search_extremal("COR-SOL", 4, mode, cfg)
+    on_ground = [op for A, op in kernel_runs if A is ground]
+    assert sorted(on_ground) == ["add", "div", "mul"]
+    # the grid path runs no kernel on a candidate; the fallback runs one per op on each
+    candidates = {A for A, _ in kernel_runs if A is not ground}
+    assert len(kernel_runs) == 3 + 3 * len(candidates) and (not candidates) == grid
+    monkeypatch.setattr(explore, "entry_ratio", _evaluated_ratio)
+    assert search_extremal("COR-SOL", 4, mode, cfg) == record
 
 
 # Records of fixed-seed hill climbs, written before the per-call memo

@@ -1,6 +1,7 @@
 """Registry evaluation, the low-L slice construction and the trace steps."""
 
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +22,7 @@ from sumprod import (
     verify_suite,
 )
 from sumprod import counting, d_upper, stats, verify
-from sumprod.verify import REGISTRY, SetContext
+from sumprod.verify import REGISTRY, SetContext, entry_ratio
 from test_approx import product_pow_oracle
 
 A123 = FiniteSet([1, 2, 3])
@@ -426,3 +427,74 @@ def test_lemma3_verdict_when_both_conditions_hold(monkeypatch, lemma_pass, sums_
     monkeypatch.setattr(verify, "_cluster_report", lambda *args: report)
     r = evaluate("LEMMA3", S8)
     assert (r.lhs, r.rhs, r.passed) == (529, 100, passed)
+
+
+# -- the ratio alone, on a context counted from a ground's pair grid -------
+
+def _outcome(read):
+    """A read's value, or the type and message of its refusal."""
+    try:
+        return read()
+    except (DomainError, ResourceError) as exc:
+        return type(exc), str(exc)
+
+
+_rng = random.Random(2015)
+# {-2/3, -2/7, -1/7, 10/9} reads its A+A keys on the ground's scale, not its own
+_SIGMA_PROBE = [Fraction(-2, 3), Fraction(-2, 7), Fraction(-1, 7), Fraction(10, 9)]
+SUBSET_GROUNDS = {
+    "integers": FiniteSet(_rng.sample(range(1, 61), 14)),
+    "rationals": FiniteSet(_SIGMA_PROBE + [Fraction(_rng.choice([-1, 1]) * _rng.randint(1, 20),
+                                                    _rng.randint(1, 9)) for _ in range(10)]),
+    "with-zero": FiniteSet([0] + _rng.sample(range(-25, 26), 12)),
+    "above-2^31": FiniteSet([2**31 + _rng.randrange(1 << 20) for _ in range(10)] + [1, 2]),
+}
+
+
+@pytest.mark.parametrize("ground", SUBSET_GROUNDS.values(), ids=SUBSET_GROUNDS)
+def test_the_ratio_of_a_subset_context_is_that_of_evaluate(ground):
+    rng = random.Random(len(ground))
+    cases = [tuple(sorted(rng.sample(range(len(ground)), rng.randint(2, 8)))) for _ in range(30)]
+    if _SIGMA_PROBE[0] in ground:
+        cases.append(tuple(ground.elements.index(x) for x in _SIGMA_PROBE))
+    ctx = SetContext(ground)
+    for idx in cases:
+        sub, A = ctx.subset(idx), FiniteSet([ground[i] for i in idx])
+        fresh = SetContext(A)
+        assert sub.A == A
+        for op in ("add", "mul", "div"):
+            assert list(sub.rep_counts(op).items()) == list(fresh.rep_counts(op).items())
+        assert A.has_zero() or list(sub.fibers().items()) == list(fresh.fibers().items())
+        for rid in REGISTRY:
+            assert _outcome(lambda: entry_ratio(rid, sub)) == \
+                _outcome(lambda: evaluate(rid, A).ratio), (rid, A)
+
+
+def test_a_probe_subset_counts_its_sums_in_A():
+    ground = SUBSET_GROUNDS["rationals"]
+    sub = SetContext(ground).subset([ground.elements.index(x) for x in _SIGMA_PROBE])
+    # -1/7 + -1/7 = -2/7 is the one sum in the set; A+A's keys are on the
+    # ground's scale, not on the set's own, 63
+    assert sub.sums_in_A == counting.sigma_count(1, sub.A, 1, sub.A, -1, sub.A).count == 1
+    assert entry_ratio("GEN-SIGMA", sub) == evaluate("GEN-SIGMA", sub.A).ratio > 0
+
+
+def test_the_ratio_alone_renders_no_rhs_and_no_report(monkeypatch):
+    expected = evaluate("COR-SOL", S8).ratio
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the ratio read built a report or a digest")
+
+    monkeypatch.setattr(verify, "InequalityReport", fail)
+    monkeypatch.setattr(SetContext, "digest", property(fail))
+    rendered, product_pow = [], verify.product_pow
+
+    def counting_pow(factors):
+        rendered.append(factors)
+        return product_pow(factors)
+
+    monkeypatch.setattr(verify, "product_pow", counting_pow)
+    assert entry_ratio("COR-SOL", SetContext(S8)) == expected
+    assert len(rendered) == 1 and len(rendered[0]) == 3  # lhs, n and K: the ratio alone
+    with pytest.raises(DomainError, match="unknown registry id 'NOPE'"):
+        entry_ratio("NOPE", SetContext(S8))
