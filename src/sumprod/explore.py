@@ -4,8 +4,8 @@ Generators cover the canonical tightness witnesses (arithmetic and
 geometric progressions and their products) plus seeded random families.
 `search_extremal` hunts for sets where a registry ratio is extremal, and
 best-known records persist to an append-only JSONL corpus that re-verifies
-itself on load.  Every ratio is `verify.entry_ratio`; a search reads each
-candidate from a context of its ground that lives only as long as the call.
+itself on load.  Every ratio is `verify.entry_ratio`, which a search reads off
+its ground's pair-key grid when that pays; no context or grid outlives the call.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ ARTIFACT_VERSION = "0.1.0"
 
 _RANDOM_KINDS = ("random_integer", "random_rational")
 _KINDS = ("ap", "gp", "ap_times_gp") + _RANDOM_KINDS
+_GRID_PAIRS = 1 << 16  # the most keys per op of a search's ground grid: 256 elements, ~2.5 MiB
 
 
 @dataclass(frozen=True)
@@ -162,11 +163,14 @@ def search_extremal(inequality_id: str, n: int, mode: str,
     maximize = bool(config.get("maximize", False))
     if n < 2 or n > len(ground):
         raise DomainError("need 2 <= n <= |ground|")
-    ground_ctx = SetContext(ground)
+    ground_ctx, grid = SetContext(ground), False
 
     def candidate(idx):
-        ctx = ground_ctx.subset(idx)
+        ctx = ground_ctx.subset(idx, grid)
         return entry_ratio(inequality_id, ctx), ctx.A, idx
+
+    def pays(evaluations):  # the ground's grid, once the search may count as many pairs
+        return len(ground) ** 2 <= min(evaluations * n * n, _GRID_PAIRS)
 
     best, truncated = None, False
     generator = {"mode": mode, "ground": [format_scalar(x) for x in ground], "n": n,
@@ -174,6 +178,8 @@ def search_extremal(inequality_id: str, n: int, mode: str,
     if mode == "exhaustive":
         if budget < 1:
             raise DomainError(f"exhaustive search needs budget >= 1, got {budget}")
+        generator["total_subsets"] = comb(len(ground), n)
+        grid = pays(min(budget, generator["total_subsets"]))
         for evaluated, idx in enumerate(combinations(range(len(ground)), n)):
             if evaluated >= budget:
                 truncated = True
@@ -181,7 +187,6 @@ def search_extremal(inequality_id: str, n: int, mode: str,
             cand = candidate(idx)
             if _better(maximize, cand, best):
                 best = cand
-        generator["total_subsets"] = comb(len(ground), n)
     elif mode == "hillclimb":
         if budget < 0:
             raise DomainError(f"hillclimb search needs budget >= 0, got {budget}")
@@ -189,9 +194,9 @@ def search_extremal(inequality_id: str, n: int, mode: str,
         restarts = int(config.get("restarts", 1))
         if restarts < 1:
             raise DomainError(f"hillclimb search needs restarts >= 1, got {restarts}")
+        grid = pays(restarts * (budget + 1))
         rng = random.Random(seed)
-        # the candidate of each set evaluated in this call, keyed by its indices
-        visit = cache(candidate)
+        visit = cache(candidate)  # each set once per call, keyed by its indices
         for _ in range(restarts):
             # the draws of `mutate`, made on ground indices
             cur = visit(tuple(sorted(rng.sample(range(len(ground)), n))))

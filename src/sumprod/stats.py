@@ -18,6 +18,7 @@ the only reader of their format; every per-set statistic reads one.
 
 from __future__ import annotations
 
+import hashlib
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -27,11 +28,6 @@ from itertools import combinations
 from math import floor, gcd
 
 import numpy as np
-
-try:  # the standard library's own SHA-256; hashlib loads OpenSSL (3.6 MiB RSS, x86-64 Linux)
-    from _sha256 import sha256
-except ImportError:
-    from hashlib import sha256
 
 from ._approx import log2_frac
 from .exactset import (DomainError, FiniteSet, ResourceError, Scalar, as_scalar, dilate,
@@ -86,8 +82,8 @@ def _quotient_keys(left, right):
 
 def _pair_grid(A, B, op: str):
     """(keys, shift, safe, den): the key of a∘b for each pair of A×B, row-major
-    ('div' skips b = 0), int64 past `_SMALL_GRID` pairs when safe (int64-safe)
-    and Python ints otherwise.  With shift None the key k stands for k/den, so
+    ('div' skips b = 0): int64 past `_SMALL_GRID` pairs when safe (int64-safe), else
+    a lazy iterable of Python ints.  With shift None the key k stands for k/den, so
     key order is value order; otherwise k packs the reduced p/q, q > 0, as p·2^shift + q."""
     if op not in ("add", "sub", "mul", "div"):
         raise DomainError(f"unknown mode {op!r}")
@@ -101,8 +97,7 @@ def _pair_grid(A, B, op: str):
             if not y:
                 raise DomainError("no nonzero divisors")
             # a quotient does not change when both sides are scaled alike
-            keys, shift, safe = _quotient_keys((x, [1] * len(x)), ([1] * len(y), y))
-            return keys if isinstance(keys, np.ndarray) else list(keys), shift, safe, None
+            return (*_quotient_keys((x, [1] * len(x)), ([1] * len(y), y)), None)
     safe = max(*map(abs, x), *map(abs, y), len(x) * len(y)) < _INT64_SAFE
     if safe and len(x) * len(y) > _SMALL_GRID:
         return _OUTER[op](np.array(x, np.int64), np.array(y, np.int64)), None, True, den
@@ -119,6 +114,8 @@ def _pair_keys(A, B, op: str):
     """(keys, counts, pairs, den, shift): `_pair_grid(A, B, op)` counted, int64-safe
     keys sorted by either engine; pairs is the grid of 'div', None for other ops."""
     keys, shift, safe, den = _pair_grid(A, B, op)
+    if op == "div":  # kept as pairs, so a lazy iterable is run once
+        keys = keys if isinstance(keys, np.ndarray) else list(keys)
     pairs = np.asarray(keys, np.int64 if safe else object) if op == "div" else None
     return (*_counted(keys, safe), pairs, den, shift)
 
@@ -339,29 +336,29 @@ class SetContext:
     Only this class reads a kernel result.  A context serves one top-level
     call, so no statistic or grid outlives the call that derived it."""
 
-    def __init__(self, A: FiniteSet):
+    def __init__(self, A: FiniteSet, ground=None):
         self.A = A
         self.n = len(A)
-        self._kernel, self._grids, self._ground = {}, {}, None
+        self._kernel, self._grids, self._ground = {}, {}, ground  # ground: see `subset`
 
-    def subset(self, idx) -> SetContext:
-        """The context of A's elements at the ascending indices idx; its kernel
-        results count A∘A's keys at idx × idx when they are int64-safe."""
-        sub = SetContext(FiniteSet.from_sorted(list(map(self.A.elements.__getitem__, idx))))
-        sub._ground = self, idx
-        return sub
+    def subset(self, idx, grid: bool = True) -> SetContext:
+        """The context of A's elements at the ascending indices idx; with grid, its
+        kernel results count A∘A's keys at idx × idx when they are int64-safe."""
+        A = FiniteSet.from_sorted(list(map(self.A.elements.__getitem__, idx)))
+        return SetContext(A, (self, idx) if grid else None)
 
     def _grid(self, op: str):
         """A∘A's keys as rows of a list, den, shift and the column of 0, which 'div'
         skips (else None); None when the keys are not int64-safe."""
         if op not in self._grids:
             keys, shift, safe, den = _pair_grid(self.A, self.A, op)
-            keys = keys.ravel().tolist() if isinstance(keys, np.ndarray) else list(keys)
-            width = len(keys) // self.n
-            skip = self.A.elements.index(0) if width < self.n else None
-            rows = [keys[i:i + width] for i in range(0, len(keys), width)]
-            self._grids[op] = (rows, den, shift, skip) if safe else None
-        return self._grids[op]
+            if safe:  # unsafe keys are a lazy iterable, left unrun
+                keys = keys.ravel().tolist() if isinstance(keys, np.ndarray) else list(keys)
+                width = len(keys) // self.n
+                skip = self.A.elements.index(0) if width < self.n else None
+                rows = [keys[i:i + width] for i in range(0, len(keys), width)]
+                self._grids[op] = rows, den, shift, skip
+        return self._grids.setdefault(op, None)
 
     def _result(self, op: str):
         """The pair-kernel result for A∘A, computed on first use, from the ground's grid if any."""
@@ -403,7 +400,7 @@ class SetContext:
     def digest(self) -> str:
         """The `inputs` of a report on A: its size, extremes and the head of
         the SHA-256 of its repr."""
-        A, h = self.A, sha256(repr(self.A).encode()).hexdigest()[:10]
+        A, h = self.A, hashlib.sha256(repr(self.A).encode()).hexdigest()[:10]
         return f"|A|={self.n};min={format_scalar(A.min())};max={format_scalar(A.max())};{h}"
 
     @cached_property

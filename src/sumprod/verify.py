@@ -3,8 +3,7 @@
 Every labelled sum-product bound is evaluated on a concrete set: exact
 pass/fail where the constant is explicit, an exact-rational tightness
 ratio where the statement hides a constant.  Each entry reads one
-`SetContext` and returns numbers; `evaluate` builds the report, and
-`entry_ratio` renders the ratio of the same entry alone.  Also
+`SetContext` and returns numbers; `evaluate` builds the report.  Also
 houses the executable low-L construction, the Katz-Koester inclusion test
 and the trace of the |A|^{4/3+c} argument at toy scale, with the exhaustive
 subset oracle that stands in for its Balog-Szemeredi-Gowers step.
@@ -107,7 +106,6 @@ def _bound(lhs, *factors, nonzero=False):
     def entry(ctx):
         left, bases = values(ctx)
         return left, product_pow(bases), _ratio(left, bases), False, None
-
     entry.ratio = lambda ctx: _ratio(*values(ctx))  # the ratio alone, for `entry_ratio`
     return entry
 
