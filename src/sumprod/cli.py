@@ -190,8 +190,8 @@ def _cmd_oracle(args) -> int:
                                          "match": fast == brute}
     elif args.op == "triples-brute":
         pts = [(x, y) for x in A for y in A]
+        brute = collinear_triples_brute(pts)  # first: it refuses large sets at once
         fast = collinear_triples(pts)
-        brute = collinear_triples_brute(pts)
         results["collinear_triples"] = {"fast": fast, "brute": brute,
                                         "match": fast == brute}
     else:  # sigma-max-sample

@@ -5,7 +5,7 @@ geometric progressions and their products) plus seeded random families.
 `search_extremal` hunts for sets where a registry ratio is extremal, and
 best-known records persist to an append-only JSONL corpus that re-verifies
 itself on load.  Every ratio is `verify.entry_ratio`, which a search reads off
-its ground's pair-key grid when that pays; no context or grid outlives the call.
+a subset of its ground's `SetContext`; no context or grid outlives the call.
 """
 
 from __future__ import annotations
@@ -13,14 +13,14 @@ from __future__ import annotations
 import datetime
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import comb
 
-from .exactset import (DomainError, FiniteSet, ParseError, canonical_json, format_scalar,
-                       parse_scalar, scaled_integers)
+from .exactset import (DomainError, FiniteSet, ParseError, ResourceError, canonical_json,
+                       format_scalar, parse_scalar, scaled_integers)
 from .stats import SetContext, productset
 from .verify import REGISTRY, entry_ratio
 
@@ -28,7 +28,6 @@ ARTIFACT_VERSION = "0.1.0"
 
 _RANDOM_KINDS = ("random_integer", "random_rational")
 _KINDS = ("ap", "gp", "ap_times_gp") + _RANDOM_KINDS
-_GRID_PAIRS = 1 << 16  # the most keys per op of a search's ground grid: 256 elements, ~2.5 MiB
 
 
 @dataclass(frozen=True)
@@ -163,14 +162,11 @@ def search_extremal(inequality_id: str, n: int, mode: str,
     maximize = bool(config.get("maximize", False))
     if n < 2 or n > len(ground):
         raise DomainError("need 2 <= n <= |ground|")
-    ground_ctx, grid = SetContext(ground), False
+    ground_ctx = SetContext(ground)
 
     def candidate(idx):
-        ctx = ground_ctx.subset(idx, grid)
+        ctx = ground_ctx.subset(idx)
         return entry_ratio(inequality_id, ctx), ctx.A, idx
-
-    def pays(evaluations):  # the ground's grid, once the search may count as many pairs
-        return len(ground) ** 2 <= min(evaluations * n * n, _GRID_PAIRS)
 
     best, truncated = None, False
     generator = {"mode": mode, "ground": [format_scalar(x) for x in ground], "n": n,
@@ -179,7 +175,6 @@ def search_extremal(inequality_id: str, n: int, mode: str,
         if budget < 1:
             raise DomainError(f"exhaustive search needs budget >= 1, got {budget}")
         generator["total_subsets"] = comb(len(ground), n)
-        grid = pays(min(budget, generator["total_subsets"]))
         for evaluated, idx in enumerate(combinations(range(len(ground)), n)):
             if evaluated >= budget:
                 truncated = True
@@ -194,7 +189,6 @@ def search_extremal(inequality_id: str, n: int, mode: str,
         restarts = int(config.get("restarts", 1))
         if restarts < 1:
             raise DomainError(f"hillclimb search needs restarts >= 1, got {restarts}")
-        grid = pays(restarts * (budget + 1))
         rng = random.Random(seed)
         visit = cache(candidate)  # each set once per call, keyed by its indices
         for _ in range(restarts):
@@ -232,8 +226,8 @@ def corpus_load(path) -> list[ExtremalRecord]:
     """Load the corpus, re-verifying every stored ratio.
 
     A record whose stored ratio no longer matches recomputation is kept
-    but flagged with drift=True.  A line that is not a record raises
-    ParseError naming the path and the line number.
+    but flagged with drift=True.  A line that is not a record, or whose set
+    its entry refuses, raises ParseError naming the path and the line number.
     """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -250,16 +244,15 @@ def corpus_load(path) -> list[ExtremalRecord]:
                 inequality_id = obj["inequality_id"]
                 if inequality_id not in REGISTRY:
                     raise ValueError(f"unknown registry id {inequality_id!r}")
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                # a set the entry refuses (a DomainError is a ValueError) is no record
+                ratio = entry_ratio(inequality_id, SetContext(A))
+            except (ValueError, KeyError, TypeError, AttributeError, ResourceError) as exc:
                 raise ParseError(f"{path}, line {lineno}: not a corpus record "
                                  f"({type(exc).__name__}: {exc})") from exc
-            rec = ExtremalRecord(
+            records.append(ExtremalRecord(
                 set=A, inequality_id=inequality_id, ratio=stored,
                 generator=obj.get("generator", {}),
                 timestamp=obj.get("timestamp", ""),
                 artifact_version=obj.get("artifact_version", ARTIFACT_VERSION),
-                truncated=bool(obj.get("truncated", False)))
-            if entry_ratio(rec.inequality_id, SetContext(A)) != stored:
-                rec = replace(rec, drift=True)
-            records.append(rec)
+                truncated=bool(obj.get("truncated", False)), drift=ratio != stored))
     return records

@@ -7,13 +7,11 @@ functional min_C |AC|^2/(|A||C|).
 
 All counting is exact and goes through one kernel, `pair_counts`, which
 keys each pair a∘b by an integer (scaled sums, differences and products,
-or a reduced quotient packed into one integer) and counts the keys with a
-Counter over Python ints on a small grid, where numpy's fixed set-up costs
-more than the count, or past int64, and with numpy int64 otherwise; keys
-that fit int64 come back as the same sorted int64 arrays from either engine.
-Fractions are built only for the distinct values a caller gets back.
-`SetContext` holds the A+A, AA and A/A kernel results of one set and is
-the only reader of their format; every per-set statistic reads one.
+or a reduced quotient packed into one integer) and counts the keys with
+numpy int64 when they are int64-safe and with a Counter over Python ints
+otherwise.  Fractions are built only for the distinct values a caller gets
+back.  `SetContext` holds the A+A, AA and A/A kernel results of one set and
+is the only reader of their format; every per-set statistic reads one.
 """
 
 from __future__ import annotations
@@ -37,24 +35,20 @@ from .exactset import (DomainError, FiniteSet, ResourceError, Scalar, as_scalar,
 # is below this: sums and products of two stay below 2^62, a packed
 # quotient below 2^63, and the sum of squared counts below 2^62.
 _INT64_SAFE = 1 << 31
-# Up to this many int64-safe pairs a Counter over Python-int keys beats
-# numpy's fixed set-up cost, for every op (CHANGES.md has the timings).
-_SMALL_GRID = 25
+_GRID_PAIRS = 1 << 16  # the most pairs of a ground whose grid a subset reads: 256 elements
 _OUTER = {"add": np.add.outer, "sub": np.subtract.outer, "mul": np.multiply.outer}
 _D_UPPER_PAIR_BUDGET = 4_000_000
 QUADRUPLE_LIMIT = 250_000
 
 
-def _counted(keys, safe: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys and their counts: numpy for an int64 array, a Counter
-    for Python ints, returned ascending as int64 when they are int64-safe."""
+def _counted(keys) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys and their counts: ascending int64 arrays by numpy for an
+    int64 array, object arrays by a Counter for an iterable of Python ints."""
     if isinstance(keys, np.ndarray):
         return np.unique(keys, return_counts=True)
     counts = Counter(keys)
-    if safe:
-        distinct = sorted(counts)
-        return np.array(distinct, np.int64), np.array([counts[k] for k in distinct], np.int64)
-    return np.array(list(counts), dtype=object), np.array(list(counts.values()), dtype=object)
+    size = len(counts)
+    return np.fromiter(counts, object, size), np.fromiter(counts.values(), object, size)
 
 
 def _quotient_key(p: int, q: int, shift: int) -> int:
@@ -64,27 +58,25 @@ def _quotient_key(p: int, q: int, shift: int) -> int:
 
 def _quotient_keys(left, right):
     """Row-major keys of the quotients (u·v)/(w·z) over (u, w) in left, (v, z)
-    in right, their shift, and whether they are int64-safe: an int64 array
-    past `_SMALL_GRID` pairs, Python ints otherwise."""
+    in right, and their shift: an int64 array when they are int64-safe, a lazy
+    iterable of Python ints otherwise."""
     (u, w), (v, z) = left, right
     p_max = max(map(abs, u)) * max(map(abs, v))
     q_max = max(map(abs, w)) * max(map(abs, z))
-    safe = max(p_max, q_max, len(u) * len(v)) < _INT64_SAFE
-    if safe and len(u) * len(v) > _SMALL_GRID:
+    if max(p_max, q_max, len(u) * len(v)) < _INT64_SAFE:
         p = np.multiply.outer(np.array(u, np.int64), np.array(v, np.int64))
         q = np.multiply.outer(np.array(w, np.int64), np.array(z, np.int64))
         g = np.gcd(p, q) * np.sign(q)
-        return (((p // g) << 32) + q // g).ravel(), 32, True
-    shift = 32 if safe else q_max.bit_length()
-    keys = (_quotient_key(a * c, b * d, shift) for a, b in zip(u, w) for c, d in zip(v, z))
-    return keys, shift, safe
+        return (((p // g) << 32) + q // g).ravel(), 32
+    shift = q_max.bit_length()
+    return (_quotient_key(a * c, b * d, shift) for a, b in zip(u, w) for c, d in zip(v, z)), shift
 
 
 def _pair_grid(A, B, op: str):
-    """(keys, shift, safe, den): the key of a∘b for each pair of A×B, row-major
-    ('div' skips b = 0): int64 past `_SMALL_GRID` pairs when safe (int64-safe), else
-    a lazy iterable of Python ints.  With shift None the key k stands for k/den, so
-    key order is value order; otherwise k packs the reduced p/q, q > 0, as p·2^shift + q."""
+    """(keys, shift, den): the key of a∘b for each pair of A×B, row-major ('div'
+    skips b = 0): an int64 array when the keys are int64-safe, else a lazy
+    iterable of Python ints.  With shift None the key k stands for k/den, so key
+    order is value order; otherwise k packs the reduced p/q, q > 0, as p·2^shift + q."""
     if op not in ("add", "sub", "mul", "div"):
         raise DomainError(f"unknown mode {op!r}")
     if op == "mul":
@@ -98,26 +90,21 @@ def _pair_grid(A, B, op: str):
                 raise DomainError("no nonzero divisors")
             # a quotient does not change when both sides are scaled alike
             return (*_quotient_keys((x, [1] * len(x)), ([1] * len(y), y)), None)
-    safe = max(*map(abs, x), *map(abs, y), len(x) * len(y)) < _INT64_SAFE
-    if safe and len(x) * len(y) > _SMALL_GRID:
-        return _OUTER[op](np.array(x, np.int64), np.array(y, np.int64)), None, True, den
-    if op == "mul" and den > 1 and not safe:
+    if max(*map(abs, x), *map(abs, y), len(x) * len(y)) < _INT64_SAFE:
+        return _OUTER[op](np.array(x, np.int64), np.array(y, np.int64)), None, den
+    if op == "mul" and den > 1:
         # A large common denominator (that of A/A, say) blows the scaled
         # integers up; key on the reduced products of the element pairs.
         return (*_quotient_keys(([a.numerator for a in A], [a.denominator for a in A]),
                                 ([b.numerator for b in B], [b.denominator for b in B])), None)
     combine = getattr(operator, op)
-    return (combine(a, b) for a in x for b in y), None, safe, den
+    return (combine(a, b) for a in x for b in y), None, den
 
 
 def _pair_keys(A, B, op: str):
-    """(keys, counts, pairs, den, shift): `_pair_grid(A, B, op)` counted, int64-safe
-    keys sorted by either engine; pairs is the grid of 'div', None for other ops."""
-    keys, shift, safe, den = _pair_grid(A, B, op)
-    if op == "div":  # kept as pairs, so a lazy iterable is run once
-        keys = keys if isinstance(keys, np.ndarray) else list(keys)
-    pairs = np.asarray(keys, np.int64 if safe else object) if op == "div" else None
-    return (*_counted(keys, safe), pairs, den, shift)
+    """(keys, counts, den, shift): `_pair_grid(A, B, op)` counted."""
+    keys, shift, den = _pair_grid(A, B, op)
+    return (*_counted(keys), den, shift)
 
 
 def pair_counts(A: FiniteSet, B: FiniteSet, op: str) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +121,7 @@ def pair_counts(A: FiniteSet, B: FiniteSet, op: str) -> tuple[np.ndarray, np.nda
 def _ordered(result) -> tuple[list[Fraction], list[int], list[int]]:
     """The distinct values of a `_pair_keys` result in increasing order, with
     their counts and keys."""
-    keys, counts, _, den, shift = result
+    keys, counts, den, shift = result
     items = zip(keys.tolist(), counts.tolist())
     if shift is None:
         items = sorted(items)
@@ -341,39 +328,44 @@ class SetContext:
         self.n = len(A)
         self._kernel, self._grids, self._ground = {}, {}, ground  # ground: see `subset`
 
-    def subset(self, idx, grid: bool = True) -> SetContext:
-        """The context of A's elements at the ascending indices idx; with grid, its
-        kernel results count A∘A's keys at idx × idx when they are int64-safe."""
+    def subset(self, idx) -> SetContext:
+        """The context of A's elements at the ascending indices idx.  When A has at
+        most `_GRID_PAIRS` pairs, its kernel results and fibers read A∘A's grid at
+        idx × idx; otherwise they run the kernel on the subset."""
         A = FiniteSet.from_sorted(list(map(self.A.elements.__getitem__, idx)))
-        return SetContext(A, (self, idx) if grid else None)
+        return SetContext(A, (self, idx) if self.n ** 2 <= _GRID_PAIRS else None)
 
     def _grid(self, op: str):
-        """A∘A's keys as rows of a list, den, shift and the column of 0, which 'div'
-        skips (else None); None when the keys are not int64-safe."""
+        """A∘A's keys as a list of rows of Python ints, den, shift and the column of
+        0, which 'div' skips (else None)."""
         if op not in self._grids:
-            keys, shift, safe, den = _pair_grid(self.A, self.A, op)
-            if safe:  # unsafe keys are a lazy iterable, left unrun
-                keys = keys.ravel().tolist() if isinstance(keys, np.ndarray) else list(keys)
-                width = len(keys) // self.n
-                skip = self.A.elements.index(0) if width < self.n else None
-                rows = [keys[i:i + width] for i in range(0, len(keys), width)]
-                self._grids[op] = rows, den, shift, skip
-        return self._grids.setdefault(op, None)
+            keys, shift, den = _pair_grid(self.A, self.A, op)
+            keys = keys.ravel().tolist() if isinstance(keys, np.ndarray) else list(keys)
+            width = len(keys) // self.n
+            skip = self.A.elements.index(0) if width < self.n else None
+            rows = [keys[i:i + width] for i in range(0, len(keys), width)]
+            self._grids[op] = rows, den, shift, skip
+        return self._grids[op]
+
+    def _rows(self, op: str):
+        """The grid rows that hold A∘A's keys, one per element of A, the columns of A's
+        elements in them, den and shift: of A's own grid, or of a subset's ground's."""
+        ground, idx = self._ground or (self, range(self.n))
+        rows, den, shift, skip = ground._grid(op)
+        cols = idx if skip is None else [j - (j > skip) for j in idx if j != skip]
+        if not cols:
+            raise DomainError("no nonzero divisors")
+        return map(rows.__getitem__, idx), cols, den, shift
 
     def _result(self, op: str):
-        """The pair-kernel result for A∘A, computed on first use, from the ground's grid if any."""
+        """The pair-kernel result (keys, counts, den, shift) for A∘A, computed on
+        first use; a subset counts its ground's grid."""
         if op not in self._kernel:
-            grid = self._ground and self._ground[0]._grid(op)
-            if grid is None:
+            if self._ground is None:
                 self._kernel[op] = _pair_keys(self.A, self.A, op)
             else:
-                (rows, den, shift, skip), idx = grid, self._ground[1]
-                cols = idx if skip is None else [j - (j > skip) for j in idx if j != skip]
-                if not cols:
-                    raise DomainError("no nonzero divisors")
-                keys = [row[c] for row in map(rows.__getitem__, idx) for c in cols]
-                pairs = np.array(keys, np.int64) if op == "div" else None
-                self._kernel[op] = (*_counted(keys, True), pairs, den, shift)
+                rows, cols, den, shift = self._rows(op)
+                self._kernel[op] = (*_counted([row[c] for row in rows for c in cols]), den, shift)
         return self._kernel[op]
 
     def _quots(self, tau=None):
@@ -381,11 +373,11 @@ class SetContext:
         tau < |A_lambda| <= 2*tau (None: every key).  The fiber reads need 0 outside A."""
         if self.A.has_zero():
             raise DomainError("spectrum requires 0 not in A")
-        keys, counts, pairs, den, shift = quots = self._result("div")
+        keys, counts, den, shift = quots = self._result("div")
         if tau is None:
             return quots
         window = (counts > floor(tau)) & (counts <= floor(2 * tau))
-        return keys[window], counts[window], pairs, den, shift
+        return keys[window], counts[window], den, shift
 
     def counts(self, X: FiniteSet, Y: FiniteSet, op: str):
         """The counts of `pair_counts(X, Y, op)`, from the context when X and Y are A."""
@@ -428,7 +420,7 @@ class SetContext:
     def sums_in_A(self) -> int:
         """#{(a, b) in A×A : a + b in A}, the count of `sigma_count(1, A, 1, A, -1, A)`:
         the counts of the A+A keys k/den that are elements of A."""
-        keys, counts, _, den, _ = self._result("add")
+        keys, counts, den, _ = self._result("add")
         members = {a.numerator * (den // a.denominator) for a in self.A}  # a's key: a·den
         return sum(c for k, c in zip(keys.tolist(), counts.tolist()) if k in members)
 
@@ -465,17 +457,16 @@ class SetContext:
         """lambda -> A_lambda = A ∩ lambda*A over A/A, or over the window
         tau < |A_lambda| <= 2*tau, in increasing order of lambda.
 
-        A_lambda holds the a_i with a_i/a_j = lambda, the rows of lambda's pairs;
-        one pass over the pairs in row order gathers them, ascending.
+        A_lambda holds the a_i with a_i/a_j = lambda, the rows of lambda's keys in
+        A/A's grid; one pass over the rows in order gathers them, ascending.
         """
-        quots = self._quots(tau)
-        lams, _, keys = _ordered(quots)
-        n, pairs, rows = self.n, quots[2].tolist(), {k: [] for k in keys}
-        for i, a in enumerate(self.A.elements):
-            for key in pairs[i * n:(i + 1) * n]:
-                if key in rows:
-                    rows[key].append(a)
-        return {lam: FiniteSet.from_sorted(rows[k]) for lam, k in zip(lams, keys)}
+        lams, _, keys = _ordered(self._quots(tau))
+        fibers, (rows, cols, _, _) = {k: [] for k in keys}, self._rows("div")
+        for a, row in zip(self.A.elements, rows):
+            for key in map(row.__getitem__, cols):
+                if key in fibers:
+                    fibers[key].append(a)
+        return {lam: FiniteSet.from_sorted(fibers[k]) for lam, k in zip(lams, keys)}
 
     @cached_property
     def dhat(self) -> DoublingProfile:

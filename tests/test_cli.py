@@ -121,9 +121,14 @@ def test_oracle_triples(three, capsys):
     assert json.loads(out)["collinear_triples"]["match"]
 
 
-def test_oracle_triples_over_the_brute_force_limit_exit_5(tmp_path, capsys):
+def test_oracle_triples_over_the_brute_force_limit_exit_5(tmp_path, capsys, monkeypatch):
     p = tmp_path / "thirteen.txt"
     p.write_text("".join(f"{k}\n" for k in range(1, 14)))  # 169 points, 169^3 > 3 000 000
+
+    def fail(points):
+        raise AssertionError("the fast count ran before the brute force refused")
+
+    monkeypatch.setattr(cli, "collinear_triples", fail)
     code, out, err = run(capsys, "oracle", "--input", str(p), "--op", "triples-brute")
     assert code == 5 and out == ""
     assert "resource limit: brute-force triple enumeration too large" in err

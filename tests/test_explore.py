@@ -229,11 +229,14 @@ def kernel_runs(monkeypatch):
     return calls
 
 
+def _evaluated_ratio(rid, ctx):
+    """The ratio of a fresh `evaluate` on the candidate, which reads no ground grid."""
+    return evaluate(rid, ctx.A).ratio
+
+
 THIRDS = FiniteSet([Fraction(k, 3) for k in range(-6, 7)])  # holds 0, which 'div' skips
 
 
-# 13² = 169 ground pairs against 16 per 4-element candidate: from budget 11 on, a
-# search may count as many pairs as the ground's grid holds
 @pytest.mark.parametrize("budget", [11, 200])
 @pytest.mark.parametrize("rid, mode, ground, ops", [
     ("COR-SOL", "hillclimb", THIRDS, ["add", "div", "mul"]),
@@ -248,25 +251,24 @@ def test_a_search_runs_the_kernel_only_on_its_ground(kernel_runs, rid, mode, gro
     assert sorted(op for _, op in kernel_runs) == ops
 
 
-@pytest.mark.parametrize("mode, budget, restarts, grid", [
-    ("exhaustive", 10, 1, False), ("exhaustive", 11, 1, True),  # 10 or 11 candidates
-    ("hillclimb", 9, 1, False), ("hillclimb", 10, 1, True),  # the start and 9 or 10 moves
-    ("hillclimb", 4, 2, False), ("hillclimb", 5, 2, True),  # twice the start and 4 or 5
-])
-def test_a_search_keeps_a_grid_only_when_it_may_count_as_many_pairs(kernel_runs, mode,
-                                                                     budget, restarts, grid):
-    ground = FiniteSet(range(1, 14))
-    search_extremal("COR-SOL", 4, mode, {"ground": ground, "budget": budget, "seed": 9,
-                                         "restarts": restarts})
-    assert any(A is ground for A, _ in kernel_runs) == grid
-
-
 @pytest.mark.parametrize("size, grid", [(256, True), (257, False)])
-def test_a_ground_grid_holds_at_most_grid_pairs_keys(kernel_runs, size, grid):
-    assert explore._GRID_PAIRS == 256**2
+def test_a_ground_grid_holds_at_most_grid_pairs_keys(kernel_runs, monkeypatch, size, grid):
+    # whatever the budget, a ground of at most 2^16 pairs runs the kernel only on
+    # itself, and a larger one only on each candidate
+    assert stats._GRID_PAIRS == 256**2
     ground = FiniteSet(range(1, size + 1))
-    search_extremal("SOLY-QUOT", size, "exhaustive", {"ground": ground, "budget": 1})
-    assert any(A is ground for A, _ in kernel_runs) == grid
+    for mode, budget in (("exhaustive", 1), ("exhaustive", 4), ("hillclimb", 0),
+                         ("hillclimb", 3)):
+        cfg = {"ground": ground, "budget": budget, "seed": 5}
+        kernel_runs.clear()
+        record = search_extremal("SOLY-QUOT", 4, mode, cfg)
+        on_ground = sorted(op for A, op in kernel_runs if A is ground)
+        candidates = {A for A, _ in kernel_runs if A is not ground}
+        assert on_ground == (["add", "div"] if grid else []) and (not candidates) == grid
+        assert all(len(A) == 4 for A in candidates)
+        with monkeypatch.context() as mp:
+            mp.setattr(explore, "entry_ratio", _evaluated_ratio)
+            assert search_extremal("SOLY-QUOT", 4, mode, cfg) == record
 
 
 def test_a_large_ground_and_a_small_budget_run_no_ground_sized_kernel(kernel_runs):
@@ -276,27 +278,20 @@ def test_a_large_ground_and_a_small_budget_run_no_ground_sized_kernel(kernel_run
     assert kernel_runs and all(len(A) == 4 for A, _ in kernel_runs)
 
 
-def _evaluated_ratio(rid, ctx):
-    """The ratio of a fresh `evaluate` on the candidate, which reads no ground grid."""
-    return evaluate(rid, ctx.A).ratio
-
-
-@pytest.mark.parametrize("top, grid", [(2**31 - 1, True), (2**31, False)])
+@pytest.mark.parametrize("top, safe", [(2**31 - 1, True), (2**31, False)])
 @pytest.mark.parametrize("mode", ["hillclimb", "exhaustive"])
-def test_the_int64_boundary_routes_a_search(kernel_runs, monkeypatch, top, grid, mode):
+def test_the_int64_boundary_routes_a_search(kernel_runs, monkeypatch, top, safe, mode):
     ground = FiniteSet([top - d for d in (0, 1, 2, 4, 8, 16, 32, 64, 128)])
     cfg = {"ground": ground, "budget": 100, "seed": 4, "restarts": 2}
     quotient_keys, quotient_key = [], stats._quotient_key
     monkeypatch.setattr(stats, "_quotient_key",
                         lambda *a: quotient_keys.append(a) or quotient_key(*a))
     record = search_extremal("COR-SOL", 4, mode, cfg)
-    on_ground = [op for A, op in kernel_runs if A is ground]
-    assert sorted(on_ground) == ["add", "div", "mul"]
-    # the grid path runs no kernel on a candidate; the fallback runs one per op on each
-    candidates = {A for A, _ in kernel_runs if A is not ground}
-    assert len(kernel_runs) == 3 + 3 * len(candidates) and (not candidates) == grid
-    # past int64 the ground's A/A keys are never made: one gcd per candidate pair
-    assert len(quotient_keys) == 16 * len(candidates)
+    # either side of int64 the kernel runs once per op on the ground, never on a candidate
+    assert sorted(op for A, op in kernel_runs if A is ground) == ["add", "div", "mul"]
+    assert len(kernel_runs) == 3
+    # past int64 the ground's A/A keys are Python ints: one gcd per ground pair
+    assert len(quotient_keys) == (0 if safe else len(ground) ** 2)
     monkeypatch.setattr(explore, "entry_ratio", _evaluated_ratio)
     assert search_extremal("COR-SOL", 4, mode, cfg) == record
 
@@ -365,7 +360,10 @@ def test_corpus_empty_file(tmp_path):
 @pytest.mark.parametrize("bad", [
     "{not json", '{"set": ["1", "2"]}', '{"set": [1, 2]}', "[]",
     '{"set": "123", "inequality_id": "SOLY-PROD", "ratio": "1"}',
-    '{"set": ["1", "2", "3"], "inequality_id": "NOPE", "ratio": "1"}'])
+    '{"set": ["1", "2", "3"], "inequality_id": "NOPE", "ratio": "1"}',
+    # sets that the entry refuses on re-verification
+    '{"set": ["3"], "inequality_id": "COR-SOL", "ratio": "1"}',
+    '{"set": ["0", "1", "2"], "inequality_id": "PREV-DA", "ratio": "1"}'])
 def test_corpus_malformed_line_is_a_parse_error(tmp_path, bad):
     path = tmp_path / "corpus.jsonl"
     rec = search_extremal("SOLY-PROD", 3, "exhaustive",

@@ -356,13 +356,6 @@ def test_pair_kernel_at_the_int64_boundary(A, B, numpy_ops):
         assert keys.dtype == expected and counts.dtype == expected, op
 
 
-def engine_result(A, B, op, threshold):
-    """`_pair_keys(A, B, op)` with the Counter engine's threshold set to threshold."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stats, "_SMALL_GRID", threshold)
-        return stats._pair_keys(A, B, op)
-
-
 kernel_values = st.one_of(
     st.integers(-(2**31 - 1), 2**31 - 1),  # int64-safe integers
     st.fractions(min_value=-30, max_value=30, max_denominator=12),  # small rationals
@@ -375,34 +368,37 @@ kernel_sets = st.sets(kernel_values, min_size=1, max_size=7).map(FiniteSet)
 @example("div", FiniteSet([2**31 - 1, -3, 5]), FiniteSet([-(2**31 - 1), 7, 0]))
 @settings(max_examples=200, deadline=None)
 def test_the_counter_engine_matches_numpy(op, A, B):
-    # a threshold of 0 sends every int64-safe grid to numpy, 10^6 to the Counter
+    # a subset counts its ground's keys as Python ints, whatever their size: the
+    # Counter over a grid's keys gives the values and counts of the kernel's engine
     try:
-        counter = engine_result(A, B, op, 10**6)
+        keys, shift, den = stats._pair_grid(A, B, op)
     except DomainError:
-        with pytest.raises(DomainError, match="no nonzero divisors"):
-            engine_result(A, B, op, 0)
-        return
-    numpy_ = engine_result(A, B, op, 0)
-    for got, expected in zip(counter[:3], numpy_[:3]):
-        assert (got is None) == (expected is None)
-        if got is not None:
-            assert got.dtype == expected.dtype and np.array_equal(got, expected)
-    assert counter[3:] == numpy_[3:]
+        return  # no nonzero divisors: check_kernel covers the refusal
+    kernel = stats._pair_keys(A, B, op)
+    assert (kernel[0].dtype == np.int64) == isinstance(keys, np.ndarray)
+    keys = keys.ravel().tolist() if isinstance(keys, np.ndarray) else list(keys)
+    counter = stats._counted(keys)
+    assert counter[0].dtype == counter[1].dtype == object
+    assert stats._ordered((*counter, den, shift)) == stats._ordered(kernel)
+
+
+# nonzero, with fibers of several sizes; a set is {top} and the first size - 1 of these
+_BELOW_TOP = [3, 6, 12, -24, 2**29, 2**30, -5, 1]
 
 
 @pytest.mark.parametrize("op", sorted(ALL_OPS))
-def test_the_threshold_decides_the_engine(op, monkeypatch):
-    # |A| |B| = T pairs are counted by the Counter, T + 1 by numpy
-    unique, ran = np.unique, []
-    monkeypatch.setattr(np, "unique", lambda *a, **k: ran.append(a[0].size) or unique(*a, **k))
-    T, A = stats._SMALL_GRID, FiniteSet([3])
-    for size in (T, T + 1):
-        B = FiniteSet(range(1, size + 1))
-        check_kernel(A, B)
-        ran.clear()
-        keys, counts, *_ = stats._pair_keys(A, B, op)
-        assert keys.dtype == counts.dtype == np.int64
-        assert ran == ([] if size == T else [size]), size
+def test_the_threshold_decides_the_engine(op):
+    # the largest element decides the engine for every op and every size: below
+    # 2^31 the keys are numpy int64, from 2^31 on Python ints in object arrays
+    for top, dtype in ((2**31 - 1, np.int64), (2**31, object)):
+        for size in (1, 2, 5, 9):
+            A = FiniteSet([top, *_BELOW_TOP[:size - 1]])
+            keys, counts = pair_counts(A, A, op)
+            assert keys.dtype == counts.dtype == dtype, (top, size)
+            assert rep_counts(A, A, op) == brute_counts(A, A, op)
+            if op == "div":
+                oracle = {lam: lambda_set(A, lam) for lam in sorted({a / b for a in A for b in A})}
+                assert list(SetContext(A).fibers().items()) == list(oracle.items())
 
 
 @pytest.mark.parametrize("k", [20, 40])
@@ -457,6 +453,6 @@ def test_kernel_fibers_match_lambda_set(A):
 def test_kernel_fibers_at_the_int64_boundary(top, path, values):
     # the largest element decides between the int64 and the Python-int path
     A = FiniteSet(values | {top})
-    keys, counts, pairs, _, _ = stats._pair_keys(A, A, "div")
-    assert keys.dtype == pairs.dtype == counts.dtype == path and len(pairs) == len(A) ** 2
+    keys, counts, _, _ = stats._pair_keys(A, A, "div")
+    assert keys.dtype == counts.dtype == path
     check_fibers(A)
