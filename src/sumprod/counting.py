@@ -162,13 +162,6 @@ def _sigma_incidences(lines: Counter, base: int) -> SigmaResult:
 
 # -- collinear triples -----------------------------------------------------
 
-def _canonical_points(points) -> set[tuple[Fraction, Fraction]]:
-    pts = {(as_scalar(x), as_scalar(y)) for x, y in points}
-    if not pts:
-        raise DomainError("empty point set")
-    return pts
-
-
 _FLOAT_KEY_SPAN = 1 << 24  # below it, float64 direction keys are exact
 _GRID_INT64_SAFE = 1 << 30
 _COLLINEAR_BLOCK = 1 << 13  # pairs per numpy tile
@@ -188,8 +181,12 @@ def collinear_triples(points) -> int:
     them share a direction, the c(c-1) summed over the points of a line
     of m points is m(m-1)(m-2)/3, so D3 is three times that sum.
     """
-    ints, _ = scaled_integers([c for p in _canonical_points(points) for c in p])
-    xs, ys = zip(*sorted(zip(ints[0::2], ints[1::2])))
+    # an int is its own scaled form: no coordinate but a 'p/q' string becomes a Fraction
+    ints, _ = scaled_integers([c if isinstance(c, int) else as_scalar(c)
+                               for x, y in points for c in (x, y)])
+    if not ints:
+        raise DomainError("empty point set")
+    xs, ys = zip(*sorted(set(zip(ints[0::2], ints[1::2]))))
     return _collinear_ints(xs, ys)
 
 
@@ -275,7 +272,9 @@ def collinear_triples_brute(points) -> int:
     triple is collinear when the 3x3 determinant of its points is zero,
     which holds whenever two of them are equal.
     """
-    pts = _canonical_points(points)
+    pts = {(as_scalar(x), as_scalar(y)) for x, y in points}
+    if not pts:
+        raise DomainError("empty point set")
     if len(pts) ** 3 > BRUTE_TRIPLE_LIMIT:
         raise ResourceError("brute-force triple enumeration too large")
     hom = [(x.numerator * y.denominator, y.numerator * x.denominator,
@@ -318,8 +317,13 @@ def cluster_sigma(fibers: dict, pair_budget: int) -> int | None:
     """max sigma_max over the triples of distinct slopes of the fibers, which
     are keyed by slope in increasing order; None if fewer than 3 slopes.
 
-    The lines of every triple are built, and refused if too many, before
-    any incidence is counted.
+    sigma_max's count, its input size and its number of lines are unchanged
+    when one of the three sets is dilated by a nonzero rational, and, when no
+    set holds 0, when the sets are permuted.  So the count is taken once per
+    key: the triple's primitive integer shapes (each fiber's scaled integers
+    over their gcd), sorted unless a fiber holds 0.  The lines of every key's
+    first triple are built, and refused if too many, before any incidence is
+    counted.
     """
     if len(fibers) < 3:
         return None
@@ -327,8 +331,18 @@ def cluster_sigma(fibers: dict, pair_budget: int) -> int | None:
         raise ResourceError(
             f"cluster sigma: {comb(len(fibers), 3)} slope triples exceed "
             f"the budget {CLUSTER_TRIPLE_BUDGET}")
-    line_sets = [_sigma_lines(*triple, pair_budget)
-                 for triple in combinations(fibers.values(), 3)]
+    shapes = []
+    for F in fibers.values():
+        ints, _ = scaled_integers(F)
+        g = gcd(*ints) or 1
+        shapes.append(tuple(i // g for i in ints))
+    ordered = any(0 in s for s in shapes)  # 0 makes the line count depend on the order
+    firsts: dict = {}
+    for triple in combinations(zip(shapes, fibers.values()), 3):
+        key = tuple(s for s, _ in triple)
+        firsts.setdefault(key if ordered else tuple(sorted(key)), triple)
+    line_sets = [_sigma_lines(*(F for _, F in triple), pair_budget)
+                 for triple in firsts.values()]
     return max(_sigma_incidences(*lines).count for lines in line_sets)
 
 
@@ -361,22 +375,25 @@ def _cluster_report(ctx: SetContext, tau, M: int, pair_budget: int) -> ClusterRe
     fibers = ctx.fibers(tau)
     sigma = cluster_sigma(fibers, pair_budget)
 
-    nsum, box = ctx.nsum, ctx.rep_counts("add")
+    nsum, (sums, den) = ctx.nsum, ctx.sum_keys
     k = len(lams) // M
     rho = tau**2 * comb(M, 2) - sigma * Fraction(M) ** 4 if sigma is not None else None
+    # the grid points on the slope-la line are (x/la, x), x in A_la: both
+    # coordinates then lie in A, so every pair sum lands in (A+A) x (A+A).  With
+    # x = X/m and 1/la = s/D over common denominators, the sum of (x/la, x) and
+    # (y/lb, y) is ((X s + Y t)/(m D), (X + Y)/m): one integer pair per point.
+    *ints, m = scaled_integers(*fibers.values())
+    inv, D = scaled_integers([1 / lam for lam in fibers])
+    points = [[(X, X * s) for X in row] for row, s in zip(ints, inv)]
+    # the values q/den of A+A as numerators over m*D and over m, where they have one
+    box_u, box_v = ({q * s // den for q in sums if q * s % den == 0} for s in (m * D, m))
     per_group: list[tuple[int, Fraction]] = []
     in_box = True
     for j in range(k):
-        group = lams[j * M:(j + 1) * M]
         pts = set()
-        for la, lb in combinations(group, 2):
-            # the grid points on the slope-la line are (x/la, x), x in A_la:
-            # both coordinates then lie in A, so every pair sum lands in
-            # (A+A) x (A+A)
-            for x in fibers[la]:
-                for y in fibers[lb]:
-                    pts.add((x / la + y / lb, x + y))
-        in_box = in_box and all(c in box for p in pts for c in p)
+        for a, b in combinations(points[j * M:(j + 1) * M], 2):
+            pts.update((u + w, x + y) for x, u in a for y, w in b)
+        in_box = in_box and all(u in box_u and v in box_v for u, v in pts)
         per_group.append((len(pts), rho))
 
     if sigma is None:

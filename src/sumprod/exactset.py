@@ -205,10 +205,11 @@ def _scale(elems) -> tuple[tuple[int, ...], int]:
     return tuple([a.numerator * (m // a.denominator) for a in elems]), m
 
 
-def scaled_integers(*sets: Collection[Fraction]) -> tuple:
+def scaled_integers(*sets: Collection[Fraction | int]) -> tuple:
     """(m*S as ints for each S in sets, ..., m), m the lcm of all their denominators.
 
-    A `FiniteSet` gives its cached scaled form, rescaled to the common m."""
+    A `FiniteSet` gives its cached scaled form, rescaled to the common m; an int
+    is its own numerator over 1."""
     forms = [S._form() if isinstance(S, FiniteSet) else _scale(S) for S in sets]
     m = lcm(*[k for _, k in forms])
     return (*(list(ints) if k == m else [i * (m // k) for i in ints] for ints, k in forms), m)

@@ -35,7 +35,7 @@ from .exactset import (DomainError, FiniteSet, ResourceError, Scalar, as_scalar,
 # is below this: sums and products of two stay below 2^62, a packed
 # quotient below 2^63, and the sum of squared counts below 2^62.
 _INT64_SAFE = 1 << 31
-_GRID_PAIRS = 1 << 16  # the most pairs of a ground whose grid a subset reads: 256 elements
+_GRID_PAIRS = 1 << 16  # the most pairs of a grid that a context keeps: 256 elements
 _OUTER = {"add": np.add.outer, "sub": np.subtract.outer, "mul": np.multiply.outer}
 _D_UPPER_PAIR_BUDGET = 4_000_000
 QUADRUPLE_LIMIT = 250_000
@@ -326,7 +326,7 @@ class SetContext:
     def __init__(self, A: FiniteSet, ground=None):
         self.A = A
         self.n = len(A)
-        self._kernel, self._grids, self._ground = {}, {}, ground  # ground: see `subset`
+        self._kernel, self._raw, self._grids, self._ground = {}, {}, {}, ground  # see `subset`
 
     def subset(self, idx) -> SetContext:
         """The context of A's elements at the ascending indices idx.  When A has at
@@ -339,7 +339,7 @@ class SetContext:
         """A∘A's keys as a list of rows of Python ints, den, shift and the column of
         0, which 'div' skips (else None)."""
         if op not in self._grids:
-            keys, shift, den = _pair_grid(self.A, self.A, op)
+            keys, shift, den = self._raw.pop(op, None) or _pair_grid(self.A, self.A, op)
             keys = keys.ravel().tolist() if isinstance(keys, np.ndarray) else list(keys)
             width = len(keys) // self.n
             skip = self.A.elements.index(0) if width < self.n else None
@@ -359,13 +359,19 @@ class SetContext:
 
     def _result(self, op: str):
         """The pair-kernel result (keys, counts, den, shift) for A∘A, computed on
-        first use; a subset counts its ground's grid."""
+        first use: A's own `_pair_grid` counted, or a subset's ground's grid at
+        idx × idx.  A/A's grid of at most `_GRID_PAIRS` keys is kept until `fibers`
+        reads its rows, so that one run serves both; a larger one is run again then."""
         if op not in self._kernel:
             if self._ground is None:
-                self._kernel[op] = _pair_keys(self.A, self.A, op)
+                keys, shift, den = _pair_grid(self.A, self.A, op)
+                if op == "div" and self.n ** 2 <= _GRID_PAIRS:
+                    keys = keys if isinstance(keys, np.ndarray) else list(keys)
+                    self._raw[op] = keys, shift, den
             else:
                 rows, cols, den, shift = self._rows(op)
-                self._kernel[op] = (*_counted([row[c] for row in rows for c in cols]), den, shift)
+                keys = [row[c] for row in rows for c in cols]
+            self._kernel[op] = (*_counted(keys), den, shift)
         return self._kernel[op]
 
     def _quots(self, tau=None):
@@ -415,6 +421,12 @@ class SetContext:
     @cached_property
     def K(self) -> Fraction:
         return Fraction(self.nmin, self.n)
+
+    @cached_property
+    def sum_keys(self) -> tuple[frozenset, int]:
+        """(keys, den): A+A is exactly {k/den : k in keys}."""
+        keys, _, den, _ = self._result("add")
+        return frozenset(keys.tolist()), den
 
     @cached_property
     def sums_in_A(self) -> int:

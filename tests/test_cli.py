@@ -363,13 +363,13 @@ def test_stats_json_matches_the_public_functions(tmp_path_factory, values, with_
 
 def test_stats_json_runs_each_pair_kernel_once(tmp_path, capsys, monkeypatch):
     calls = Counter()
-    pair_keys = stats._pair_keys
+    pair_grid = stats._pair_grid
 
     def counting(A, B, op):
         calls[op, A == B] += 1
-        return pair_keys(A, B, op)
+        return pair_grid(A, B, op)
 
-    monkeypatch.setattr(stats, "_pair_keys", counting)
+    monkeypatch.setattr(stats, "_pair_grid", counting)
     path = tmp_path / "sixteen.txt"
     path.write_text("\n".join(str(3 * k * k + 1) for k in range(1, 17)) + "\n")
     assert run(capsys, "stats", "--json", "--input", str(path))[0] == 0

@@ -246,6 +246,21 @@ def test_sigma_max_dominates_fixed_coefficients():
         assert best >= sigma_count(1, sets[0], 1, sets[1], -1, sets[2]).count
 
 
+dilations = st.fractions(min_value=-7, max_value=7, max_denominator=7).filter(bool)
+
+
+@given(tie_sets, tie_sets, small_sets, st.permutations(range(3)),
+       st.tuples(dilations, dilations, dilations))
+@settings(max_examples=100, deadline=None)
+def test_sigma_max_count_is_unchanged_by_permuting_and_dilating_the_sets(A1, A2, A3, order,
+                                                                          factors):
+    # the invariance `cluster_sigma`'s memo rests on; the sets are signed
+    # rationals of mixed denominators, and small_sets often hold 0
+    sets = (A1, A2, A3)
+    moved = [FiniteSet(c * x for x in sets[k]) for c, k in zip(factors, order)]
+    assert sigma_max(*moved).count == sigma_max(*sets).count
+
+
 # -- collinear triples -----------------------------------------------------
 
 def test_collinear_fixtures():
@@ -422,6 +437,29 @@ def test_collinear_matches_brute_in_any_tiling(block, pts):
         assert collinear_triples(pts) == collinear_triples_brute(pts)
 
 
+SPELLINGS = {"int": int, "fraction": Fraction, "string": lambda v: f"{3 * v}/3",
+             "mixed": lambda v: (int, Fraction, lambda v: f"{2 * v}/2")[v % 3](v)}
+
+
+@pytest.mark.parametrize("span, dtype", [(2**24 - 1, np.float64), (2**24, np.int64),
+                                         (2**30 - 1, np.int64), (2**30, object)])
+@pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+def test_collinear_reads_every_spelling_of_a_point(spelling, span, dtype, monkeypatch):
+    # ints are their own scaled form and 'p/q' strings are parsed; the point
+    # (2, 2) comes spelled as 2, '4/2' and Fraction(2) and counts once
+    s, spell = span, SPELLINGS[spelling]
+    pts = [(-s, -s), (s, s - 1), (0, 0), (s, s), (s, -s), (-s, s), (1, s), (0, -s)]
+    twos = [(2, "4/2"), ("4/2", Fraction(2)), (Fraction(2), 2)]
+    seen = tile_dtypes(monkeypatch)
+    assert (collinear_triples([(spell(x), spell(y)) for x, y in pts] + twos)
+            == collinear_triples_brute(pts + [(2, 2)]))
+    assert seen == [(np.dtype(dtype), np.dtype(dtype))]
+    # a rational coordinate scales every point by its denominator
+    half = [(Fraction(1, 2), "1/3")]
+    assert (collinear_triples([(spell(x), spell(y)) for x, y in pts] + half)
+            == collinear_triples_brute(pts + half))
+
+
 # -- cluster construction --------------------------------------------------
 
 DIVISOR_RICH = FiniteSet([1, 2, 3, 4, 6, 9, 12, 18, 36])
@@ -474,6 +512,142 @@ def test_cluster_sigma_small_window():
     assert len(fibers) >= 3
     want = max(sigma_max(*t).count for t in combinations(fibers.values(), 3))
     assert cluster_sigma(fibers, counting.SIGMA_PAIR_BUDGET) == want
+
+
+def _cluster_sums_fractions(A, tau, M):
+    """The distinct sums of each group and the box check of a cluster report, in
+    Fractions: each point (x/la + y/lb, x + y) and each A+A value built as one."""
+    ctx = SetContext(A)
+    fibers, box = ctx.fibers(tau), ctx.rep_counts("add")
+    lams = list(fibers)
+    counts, in_box = [], True
+    for j in range(len(lams) // M):
+        pts = set()
+        for la, lb in combinations(lams[j * M:(j + 1) * M], 2):
+            for x in fibers[la]:
+                for y in fibers[lb]:
+                    pts.add((x / la + y / lb, x + y))
+        in_box = in_box and all(c in box for p in pts for c in p)
+        counts.append(len(pts))
+    return counts, in_box
+
+
+def check_cluster_sums(A, tau, M):
+    try:
+        rep = solymosi_cluster_report(A, tau, M)
+    except (DomainError, ResourceError):
+        return False
+    assert ([d for d, _ in rep.per_group], rep.sums_in_box) == _cluster_sums_fractions(A, tau, M)
+    return True
+
+
+positive_terms = st.one_of(st.integers(1, 40), st.fractions(min_value=Fraction(1, 6), max_value=12,
+                                                            max_denominator=6).filter(bool))
+cluster_sets = st.one_of(
+    st.sets(positive_terms, min_size=2, max_size=8).map(FiniteSet),
+    # a union of dilated progressions, for windows of several fibers
+    st.builds(lambda c, r, k, d: FiniteSet({c * r**i for i in range(k)} | {d * r**i for i in range(k)}),
+              positive_terms, st.sampled_from([2, 3, Fraction(3, 2)]), st.integers(3, 5),
+              positive_terms))
+
+
+@given(cluster_sets, st.sampled_from([Fraction(1, 2), 1, 2]), st.integers(2, 3))
+@settings(max_examples=80, deadline=None)
+def test_cluster_sums_match_the_fraction_points(A, tau, M):
+    check_cluster_sums(A, tau, M)
+
+
+def test_cluster_sums_match_the_fraction_points_on_fixed_sets():
+    sets = [DIVISOR_RICH, FiniteSet([Fraction(x, 6) for x in (1, 2, 3, 4, 6, 9, 12, 18, 36)]),
+            FiniteSet([Fraction(2, 3) * 2**i for i in range(7)] + [Fraction(5, 7), 7]),
+            FiniteSet([1, 2, 3, 4, 6, 8, 12])]
+    ran = sum(check_cluster_sums(A, tau, M) for A in sets
+              for tau in (Fraction(1, 2), 1, 2, 4) for M in (2, 3, 4))
+    assert ran >= 15
+
+
+@pytest.mark.parametrize("extra", [36000, Fraction(1, 7), Fraction(9, 2), 18])
+def test_cluster_box_check_matches_the_fraction_points_on_wrong_fibers(extra, monkeypatch):
+    # extra joins every fiber: 18 is in A, 9/2 is not but is half of an element of A+A
+    fibers = SetContext.fibers
+
+    def grouping(ctx, tau=None):
+        return {lam: f.union(FiniteSet([extra])) for lam, f in fibers(ctx, tau).items()}
+
+    monkeypatch.setattr(SetContext, "fibers", grouping)
+    for A in (DIVISOR_RICH, FiniteSet([Fraction(x, 4) for x in (1, 2, 3, 4, 6, 9, 12, 18, 36)])):
+        assert check_cluster_sums(A, 2, 2)
+
+
+def test_cluster_report_on_a_subset_context_matches_a_fresh_one():
+    # a subset's A+A keys are over its ground's denominator, 6 here, not its own
+    ground = SetContext(FiniteSet([Fraction(1, 2), Fraction(1, 3), 1, 2, 3, 4, 6, 9, 12, 18, 36]))
+    idx = [2, 3, 4, 5, 6, 7, 8, 9, 10]
+    sub = ground.subset(idx)
+    assert sub.A == DIVISOR_RICH and sub.sum_keys[1] == 6
+    for tau, M in ((1, 2), (2, 2), (2, 3)):
+        assert (counting._cluster_report(sub, tau, M, counting.SIGMA_PAIR_BUDGET)
+                == solymosi_cluster_report(DIVISOR_RICH, tau, M))
+
+
+def sigma_line_runs(monkeypatch) -> list:
+    """Records the sizes of the fiber triples whose lines `_sigma_lines` builds."""
+    seen, lines = [], counting._sigma_lines
+
+    def spy(*args):
+        seen.append(tuple(map(len, args[:3])))
+        return lines(*args)
+
+    monkeypatch.setattr(counting, "_sigma_lines", spy)
+    return seen
+
+
+def _witness(seed: int) -> FiniteSet:
+    """Solymosi's construction: X ∪ Y ∪ Z ∪ 1009X ∪ 2003Y ∪ 3001Z for 9-element
+    samples X, Y and Z of [10^5, 10^6)."""
+    rng = random.Random(seed)
+    X, Y, Z = (rng.sample(range(10**5, 10**6), 9) for _ in range(3))
+    return FiniteSet(X + Y + Z + [1009 * x for x in X] + [2003 * y for y in Y]
+                     + [3001 * z for z in Z])
+
+
+@pytest.mark.parametrize("A, tau, shapes", [
+    (DIVISOR_RICH, 1, 4), (DIVISOR_RICH, 2, None), (FiniteSet([1, 2, 3, 4, 6, 8, 12]), 1, None),
+    (FiniteSet([1, 2, 4, 8, 16, 32, 3, 6, 12, 24, 48]), 2, None),
+    (FiniteSet([Fraction(x, 5) for x in (1, 2, 3, 4, 6, 9, 12, 18, 36)]), 1, 4)])
+def test_cluster_sigma_counts_each_shape_triple_once(A, tau, shapes, monkeypatch):
+    fibers = SetContext(A).fibers(tau)
+    assert len(fibers) >= 3
+    want = max(sigma_max(*t).count for t in combinations(fibers.values(), 3))
+    # a positive fiber's shape: the set over its least element
+    shape = {lam: FiniteSet(x / F.min() for x in F) for lam, F in fibers.items()}
+    keys = {tuple(sorted(shape[lam] for lam in t)) for t in combinations(fibers, 3)}
+    assert shapes is None or len(keys) == shapes
+    runs = sigma_line_runs(monkeypatch)
+    assert cluster_sigma(fibers, counting.SIGMA_PAIR_BUDGET) == want
+    assert len(runs) == len(keys) < comb(len(fibers), 3)
+
+
+def test_cluster_sigma_keeps_the_order_of_fibers_that_hold_0(monkeypatch):
+    # ({1}, {0, 1}, {0, 2}) has 3 lines and ({0, 1}, {1}, {0, 2}) 4: the triple
+    # (x1, 0, 0), x1 != 0, holds for no coefficients and gives no line
+    fibers = dict(enumerate(map(FiniteSet, ([1], [0, 1], [1], [0, 2]))))
+    runs = sigma_line_runs(monkeypatch)
+    with pytest.raises(ResourceError, match="too large: 4 lines"):
+        cluster_sigma(fibers, comb(3, 2))
+    assert runs == [(1, 2, 1), (1, 2, 2), (1, 1, 2), (2, 1, 2)]
+    assert cluster_sigma(fibers, comb(4, 2)) == max(
+        sigma_max(*t).count for t in combinations(fibers.values(), 3))
+
+
+def test_cluster_lemma_witness():
+    # the window tau = 8 holds the 6 slopes 1009^±1, 2003^±1 and 3001^±1, whose
+    # fibers are X, Y and Z and their dilations: 7 shape triples of 20
+    rep = solymosi_cluster_report(_witness(0), 8, 2)
+    assert rep.sigma_used == 2 and len(rep.slopes) == 6
+    assert rep.conditions_ok == (True, True) and rep.lemma_pass
+    for distinct, rho in rep.per_group:
+        assert distinct >= max(0, rho)
 
 
 def test_cluster_refuses_an_oversized_fiber_triple_with_its_size(monkeypatch):

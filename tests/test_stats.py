@@ -456,3 +456,21 @@ def test_kernel_fibers_at_the_int64_boundary(top, path, values):
     keys, counts, _, _ = stats._pair_keys(A, A, "div")
     assert keys.dtype == counts.dtype == path
     check_fibers(A)
+
+
+@pytest.mark.parametrize("low, n, div_runs", [(1, 256, 1), (2**31 + 1, 256, 1), (1, 257, 2)])
+def test_a_context_keeps_a_small_div_grid_for_its_fibers(low, n, div_runs, monkeypatch):
+    # the quotient kernel and the rows of the fibers read one 'div' grid of at
+    # most 2^16 keys, on the int64 path and past it; a larger grid is not kept
+    # and runs again for the rows.  No row list is built before the fibers are read
+    runs, pair_grid = Counter(), stats._pair_grid
+    monkeypatch.setattr(stats, "_pair_grid", lambda A, B, op: runs.update([op]) or pair_grid(A, B, op))
+    rows, grid = [], SetContext._grid
+    monkeypatch.setattr(SetContext, "_grid", lambda ctx, op: rows.append(op) or grid(ctx, op))
+    A = FiniteSet(random.Random(256).sample(range(low, low + 10**6), n))
+    ctx = SetContext(A)
+    ctx.nquot, ctx.nsum, ctx.Ex, ctx.slices
+    assert rows == [] and runs == {"add": 1, "mul": 1, "div": 1}
+    ctx.fibers(8)
+    assert ctx.fibers(Fraction(n, 2)) == {1: A}  # the window of |A_1| = n alone
+    assert rows == ["div", "div"] and runs == {"add": 1, "mul": 1, "div": div_runs}

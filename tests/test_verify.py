@@ -350,15 +350,16 @@ def test_suite_context_matches_fresh_contexts(values, with_zero):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts stats._pair_keys calls by op, and whether both sides were S8."""
+    """Counts stats._pair_grid calls by op, and whether both sides were S8: every
+    kernel run starts with one, and so does a context's grid."""
     calls = Counter()
-    pair_keys = stats._pair_keys
+    pair_grid = stats._pair_grid
 
     def counting(A, B, op):
         calls[op, A == S8 and B == S8] += 1
-        return pair_keys(A, B, op)
+        return pair_grid(A, B, op)
 
-    monkeypatch.setattr(stats, "_pair_keys", counting)
+    monkeypatch.setattr(stats, "_pair_grid", counting)
     return calls
 
 
