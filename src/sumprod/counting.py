@@ -170,8 +170,33 @@ _COLLINEAR_BLOCK = 1 << 13  # pairs per numpy tile
 def collinear_triples(points) -> int:
     """Ordered collinear triples of a planar point set, repetition allowed.
 
-    Any triple with at most two distinct points counts as collinear, so
-    with D3 = sum over maximal lines of m(m-1)(m-2):
+    When the distinct points form a full grid X x Y, of kx and ky values
+    and span below 2^24, the count comes from the triples of X and of Y
+    alone.  A triple of grid points is collinear when
+    (x2-x1)(y3-y1) = (x3-x1)(y2-y1), that is when (x2-x1, x3-x1) and
+    (y2-y1, y3-y1) are parallel or one of them is zero.  With cX(d) the
+    number of triples of X^3 whose difference vector has the direction d:
+
+        T = kx*ky^3 + (kx^3 - kx)*ky + sum_d cX(d)*cY(d).
+
+    The directions 0, 1 and infinity of r = (x3-x1)/(x2-x1) each have
+    c = k(k-1).  Permuting a triple of distinct values moves r through its
+    anharmonic orbit {r, 1/r, 1-r, 1/(1-r), r/(r-1), (r-1)/r}, which meets
+    (0, 1/2] in one shape s = min(y-x, z-y)/(z-x) of the set x < y < z; so
+    with M(s) the number of 3-subsets of shape s,
+
+        sum_d cX*cY = 3*kx(kx-1)*ky(ky-1) + 6*sum_s MX(s)*MY(s)
+                      + 6*MX(1/2)*MY(1/2),
+
+    the last term because the orbit of 1/2 has 3 members, each reached
+    twice.  The key of a shape p/q is its float64: 0 < p < q < 2^25, so
+    distinct shapes lie more than 2^-50 apart, while each correctly
+    rounded quotient errs by at most 2^-54.
+
+    Any other point set is counted by its point pairs, as is a grid whose
+    C(kx,3) + C(ky,3) keys would outnumber its C(kx*ky, 2) pairs.  Any
+    triple with at most two distinct points counts as collinear, so with
+    D3 = sum over maximal lines of m(m-1)(m-2):
 
         T = n + 3n(n-1) + D3.
 
@@ -186,8 +211,62 @@ def collinear_triples(points) -> int:
                                for x, y in points for c in (x, y)])
     if not ints:
         raise DomainError("empty point set")
-    xs, ys = zip(*sorted(set(zip(ints[0::2], ints[1::2]))))
-    return _collinear_ints(xs, ys)
+    pts = set(zip(ints[0::2], ints[1::2]))
+    xs, ys = sorted({x for x, _ in pts}), sorted({y for _, y in pts})
+    if len(pts) == len(xs) * len(ys):
+        return _grid_collinear(xs, ys)
+    return _collinear_ints(*zip(*sorted(pts)))
+
+
+def _grid_collinear(xs: list[int], ys: list[int]) -> int:
+    """`collinear_triples` of the grid xs x ys of ascending ints: by the
+    shapes of their 3-subsets below span 2^24, unless those outnumber the
+    grid's point pairs, and by the pair tiles otherwise."""
+    kx, ky = len(xs), len(ys)
+    span = max(-xs[0], xs[-1], -ys[0], ys[-1])
+    if span >= _FLOAT_KEY_SPAN or comb(kx, 3) + comb(ky, 3) > comb(kx * ky, 2):
+        return _collinear_ints([x for x in xs for _ in ys], ys * kx)
+    shapes, mx = _shape_counts(xs)
+    if ys == xs:
+        my = mx
+    else:
+        keys = _shape_keys(ys)
+        my = np.searchsorted(keys, shapes, "right") - np.searchsorted(keys, shapes)
+    # the shapes ascend, so 1/2, the largest possible, is the last if present
+    half = int(mx[-1]) * int(my[-1]) if shapes.size and shapes[-1] == 0.5 else 0
+    # mx @ my <= C(kx,3)*C(ky,3) stays below 2^63 for any keys that fit in memory
+    return (kx * ky**3 + (kx**3 - kx) * ky + 3 * kx * (kx - 1) * ky * (ky - 1)
+            + 6 * (int(mx @ my) + half))
+
+
+def _shape_counts(s: list[int]):
+    """The distinct shapes of `_shape_keys(s)`, ascending, and each one's count."""
+    keys = _shape_keys(s)
+    run_start = np.ones(keys.size + 1, dtype=bool)  # the last entry closes the last run
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:-1])
+    keys = keys[run_start[:-1]]
+    return keys, np.diff(np.flatnonzero(run_start))
+
+
+def _shape_keys(s: list[int]) -> np.ndarray:
+    """The shapes min(y-x, z-y)/(z-x) of the 3-subsets x < y < z of the
+    ascending ints s, as sorted float64 keys.
+
+    The j(k-1-j) subsets with middle element s[j] fill the next block of
+    one preallocated array, as the table of y - x against z - y.
+    """
+    k = len(s)
+    v = np.array(s, dtype=np.float64)
+    keys = np.empty(comb(k, 3))
+    end = 0
+    for j in range(1, k - 1):
+        left, right = v[j] - v[:j, None], v[j + 1:] - v[j]
+        out = keys[end:end + j * (k - 1 - j)].reshape(j, -1)
+        np.minimum(left, right, out=out)
+        out /= left + right
+        end += out.size
+    keys.sort()
+    return keys
 
 
 def _collinear_ints(xs, ys) -> int:
@@ -452,9 +531,8 @@ def er_chain(A: FiniteSet, triples_limit: int = TRIPLES_POINT_LIMIT) -> ErChain:
     X = A.union(F)
     T = None
     if len(X) ** 2 <= triples_limit:
-        # X is ascending, so its grid is in lexicographic order
-        s, _ = scaled_integers(X)
-        T = _collinear_ints([u for u in s for _ in s], s * len(s))
+        s, _ = scaled_integers(X)  # ascending, as X is
+        T = _grid_collinear(s, s)
 
     checks = {
         "sum_F": 2 * sumsq_F >= Ep,

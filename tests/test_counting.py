@@ -25,6 +25,7 @@ from sumprod import (
 )
 from sumprod import counting
 from sumprod.counting import cluster_sigma
+from sumprod.exactset import as_scalar, scaled_integers
 from sumprod.stats import SetContext
 
 A123 = FiniteSet([1, 2, 3])
@@ -460,6 +461,106 @@ def test_collinear_reads_every_spelling_of_a_point(spelling, span, dtype, monkey
             == collinear_triples_brute(pts + half))
 
 
+def _tile_count(pts) -> int:
+    """`collinear_triples` of pts by the pair tiles alone."""
+    ints, _ = scaled_integers([as_scalar(c) for p in pts for c in p])
+    xs, ys = zip(*sorted(set(zip(ints[0::2], ints[1::2]))))
+    return counting._collinear_ints(xs, ys)
+
+
+def grid_paths(monkeypatch) -> list:
+    """Records, per call, whether a grid was counted by its shapes or its tiles."""
+    seen = []
+    for name, path in (("_shape_keys", "shapes"), ("_distinct_collinear", "tiles")):
+        def spy(*args, path=path, fn=getattr(counting, name)):
+            seen.append(path)
+            return fn(*args)
+        monkeypatch.setattr(counting, name, spy)
+    return seen
+
+
+GRIDS = {
+    "one point": ([3], [3]),
+    "a row": ([-2, 0, 5, 6], [1]),
+    "two rows": ([0, 1, 3, 7, 8], [-1, 4]),
+    "square with 0": ([0, 1, 2], [0, 1, 2]),
+    "X = Y, negatives": ([-7, -3, 0, 2, 9, 10], [-7, -3, 0, 2, 9, 10]),
+    "X != Y, negatives": ([-5, -1, 0, 4, 6], [-9, -2, 3, 4, 5, 11]),
+    "3-term progressions": ([2, 4, 6], [-1, 0, 1]),
+    "progressions": ([1, 3, 5, 7, 9, 11], [-4, 0, 4, 8, 12, 16]),
+    "progression and set": ([0, 2, 4, 6], [1, 2, 4, 8, 16, 32]),
+    "fractions": ([Fraction(-1, 2), Fraction(1, 3), 1, Fraction(7, 4)],
+                  [Fraction(2, 3), Fraction(5, 6), 2]),
+    "strings": (["-3/2", "0", "1/2", "5/2", "9/2"], ["1/3", "2/3", "4/3", "8/3"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_collinear_counts_a_grid_by_the_shapes_of_its_sides(name, monkeypatch):
+    X, Y = GRIDS[name]
+    pts = [(x, y) for x in X for y in Y]
+    want = collinear_triples_brute(pts)
+    assert _tile_count(pts) == want
+    paths = grid_paths(monkeypatch)
+    assert collinear_triples(pts) == want
+    # a side of one element has no 3-subsets, yet its keys are still asked for
+    assert "tiles" not in paths and len(paths) == (1 if X == Y else 2)
+
+
+@pytest.mark.parametrize("s", [[2, 4, 6], list(range(0, 18, 3)), [-7, -3, 0, 2, 9, 10],
+                               [0, 1, 3, 7, 15, 31], [5]])
+def test_shape_counts_match_the_fraction_shapes(s):
+    # a 3-term progression has the one shape 1/2; a longer one has others too
+    want = Counter(min(Fraction(y - x, z - x), Fraction(z - y, z - x))
+                   for x, y, z in combinations(s, 3))
+    shapes, counts = counting._shape_counts(s)
+    assert len(shapes) == len(want)
+    assert dict(zip(shapes.tolist(), counts.tolist())) == {float(k): v for k, v in want.items()}
+
+
+@given(X=st.sets(st.integers(-12, 12), min_size=1, max_size=6),
+       Y=st.sets(st.integers(-12, 12), min_size=1, max_size=6),
+       square=st.booleans(), den=st.sampled_from([1, 2, 3]))
+@settings(max_examples=80, deadline=None)
+def test_collinear_grid_shapes_match_the_brute_force(X, Y, square, den):
+    Y = X if square else Y
+    pts = [(Fraction(x, den), y) for x in X for y in Y]
+    assert collinear_triples(pts) == collinear_triples_brute(pts) == _tile_count(pts)
+
+
+def test_collinear_counts_a_grid_less_one_point_by_its_tiles(monkeypatch):
+    X, Y = [-3, 0, 1, 4, 6], [0, 2, 3, 7]
+    grid = [(x, y) for x in X for y in Y]
+    paths = grid_paths(monkeypatch)
+    assert collinear_triples(grid) == collinear_triples_brute(grid)
+    assert paths == ["shapes", "shapes"]
+    paths.clear()
+    assert collinear_triples(grid[1:]) == collinear_triples_brute(grid[1:])
+    assert paths == ["tiles"]
+
+
+@pytest.mark.parametrize("k, path", [(5, "shapes"), (6, "tiles")])
+def test_collinear_counts_a_grid_whose_shapes_outnumber_its_pairs_by_its_tiles(
+        k, path, monkeypatch):
+    # a row of k points has C(k, 3) shapes and C(k, 2) pairs: 10 of each at k = 5
+    pts = [(x * x, 1) for x in range(k)]
+    paths = grid_paths(monkeypatch)
+    assert collinear_triples(pts) == collinear_triples_brute(pts) == k**3
+    assert set(paths) == {path}
+
+
+@pytest.mark.parametrize("span, path", [(2**24 - 1, "shapes"), (2**24, "tiles")])
+def test_collinear_grid_shapes_at_the_float_boundary(span, path, monkeypatch):
+    # the shape p/q is exact while q < 2^25: here q reaches 2s, and X and Y
+    # share (s-1)/(2s) and 1/(s+1), next to Y's (s-1)/(2s-1) and (s-2)/(2s)
+    s = span
+    X, Y = [-s, 0, 1, s], [-s, -1, 2, s - 1, s]
+    pts = [(x, y) for x in X for y in Y]
+    paths = grid_paths(monkeypatch)
+    assert collinear_triples(pts) == collinear_triples_brute(pts)
+    assert set(paths) == {path}
+
+
 # -- cluster construction --------------------------------------------------
 
 DIVISOR_RICH = FiniteSet([1, 2, 3, 4, 6, 9, 12, 18, 36])
@@ -702,7 +803,7 @@ def test_er_chain_random_positive_sets():
         ch = er_chain(A)
         assert all(ch.checks.values()), ch.checks
         X = A.union(ch.F)
-        assert ch.T == collinear_triples([(x, y) for x in X for y in X])
+        assert ch.T == _tile_count([(x, y) for x in X for y in X])
 
 
 def test_er_chain_triples_match_brute_on_the_fraction_grid():
@@ -717,6 +818,19 @@ def test_er_chain_triples_match_brute_on_the_fraction_grid():
         ch = er_chain(A)
         X = A.union(ch.F)
         assert ch.T == collinear_triples_brute([(x, y) for x in X for y in X]), A
+
+
+@pytest.mark.parametrize("A", [A123, FiniteSet([1, 2]), FiniteSet([1, 2**24, 2**25 + 3])]
+                         + [FiniteSet(random.Random(seed).sample(range(1, 40), 3))
+                            for seed in range(4)])
+def test_er_chain_counts_its_grid_by_shapes_below_span_2_24(A, monkeypatch):
+    X = A.union(er_chain(A).F)
+    want = collinear_triples_brute([(x, y) for x in X for y in X])
+    paths = grid_paths(monkeypatch)
+    assert er_chain(A).T == want
+    assert paths == (["tiles"] if X.max() >= 2**24 else ["shapes"])
+    assert er_chain(A, triples_limit=len(X) ** 2).T == want
+    assert er_chain(A, triples_limit=len(X) ** 2 - 1).T is None
 
 
 @pytest.mark.parametrize("A", [FiniteSet([1, 2, 3, 5, 8]),
